@@ -33,6 +33,7 @@ from .journal import (
     FSYNC_POLICIES,
     Journal,
     JournalRecord,
+    ScanPosition,
     list_segments,
     scan_last_seq,
     scan_oldest_seq,
@@ -68,6 +69,7 @@ __all__ = [
     "PersistenceCoordinator",
     "RecoveryReport",
     "SQLiteStore",
+    "ScanPosition",
     "SnapshotManifest",
     "SnapshotStore",
     "capture_manifest",

@@ -74,6 +74,18 @@ def list_segments(directory: str) -> List[str]:
     )
 
 
+#: Bytes :func:`scan_last_seq` reads per step backwards from a segment's end.
+_TAIL_BLOCK = 8192
+
+
+def _line_seq(line: bytes) -> Optional[int]:
+    """The ``seq`` of one journal line, or ``None`` when it does not decode."""
+    try:
+        return int(json.loads(line)["seq"])
+    except (ValueError, KeyError):
+        return None
+
+
 def scan_oldest_seq(directory: str) -> int:
     """The sequence number of the oldest record still on disk (0 when empty).
 
@@ -81,20 +93,39 @@ def scan_oldest_seq(directory: str) -> int:
     cursor turns out to predate the retained window.
     """
     for name in list_segments(directory):
-        path = os.path.join(directory, name)
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(os.path.join(directory, name), "rb") as handle:
                 for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        return int(json.loads(line)["seq"])
-                    except (ValueError, KeyError):
-                        continue
+                    seq = _line_seq(line)
+                    if seq is not None:
+                        return seq
         except OSError:
             continue
     return 0
+
+
+def _last_line_seq(handle) -> Optional[int]:
+    """The seq of the last decodable line of a binary segment handle.
+
+    Reads backwards in :data:`_TAIL_BLOCK` steps, so the cost is the tail
+    up to that line, not the whole segment.  An unterminated final fragment
+    counts when it decodes, exactly as a forward scan would count it.
+    """
+    end = handle.seek(0, os.SEEK_END)
+    carry = b""
+    while end > 0:
+        start = max(0, end - _TAIL_BLOCK)
+        handle.seek(start)
+        lines = (handle.read(end - start) + carry).split(b"\n")
+        end = start
+        # Unless the block starts the file, its first piece is the end of a
+        # line that begins in an earlier block.
+        carry = lines.pop(0) if start else b""
+        for line in reversed(lines):
+            seq = _line_seq(line)
+            if seq is not None:
+                return seq
+    return None
 
 
 def scan_last_seq(directory: str) -> int:
@@ -103,22 +134,13 @@ def scan_last_seq(directory: str) -> int:
     The read-only sibling of :meth:`Journal._recover_last_seq` for
     followers that observe another process's journal directory: it must
     never truncate (repair is the *writer's* job on reopen) and it
-    tolerates a torn final line by simply not counting it.
+    tolerates a torn final line by simply not counting it.  Each segment is
+    read backwards from its end, so a call costs the tail, not the segment.
     """
-    segments = list_segments(directory)
-    for name in reversed(segments):
-        path = os.path.join(directory, name)
-        last_seq = None
+    for name in reversed(list_segments(directory)):
         try:
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        last_seq = int(json.loads(line)["seq"])
-                    except (ValueError, KeyError):
-                        continue  # torn tail (or mid-write line): skip
+            with open(os.path.join(directory, name), "rb") as handle:
+                last_seq = _last_line_seq(handle)
         except OSError:
             continue
         if last_seq is not None:
@@ -131,9 +153,43 @@ def scan_last_seq(directory: str) -> int:
     return 0
 
 
+@dataclass
+class ScanPosition:
+    """Where a streaming reader's last :func:`scan_records` pass stopped.
+
+    Reader-owned and updated in place as records are yielded: the segment
+    file, the byte offset just past the newline of the last yielded record,
+    and that record's seq.  A later scan with ``after_seq == seq`` seeks to
+    ``offset`` instead of re-parsing the segment from its start.  A stale
+    or mangled position is harmless: it is verified before use and dropped
+    when it does not hold.
+    """
+
+    segment: Optional[str] = None
+    offset: int = 0
+    seq: Optional[int] = None
+
+
+def _resumes_at(handle, offset: int, seq: int) -> bool:
+    """Whether a binary segment handle holds record ``seq`` at ``offset``.
+
+    The offset must start a line, and the first complete line there must be
+    record ``seq``.  Nothing past the offset yet (a caught-up reader) also
+    holds: the bytes before a newline are never rewritten.
+    """
+    handle.seek(offset - 1)
+    if handle.read(1) != b"\n":
+        return False
+    for line in handle:
+        if line.strip():
+            return line.endswith(b"\n") and _line_seq(line) == seq
+    return True
+
+
 def scan_records(directory: str, after_seq: int = 0,
                  segments: List[str] = None,
-                 strict: bool = False) -> Iterator[JournalRecord]:
+                 strict: bool = False,
+                 position: ScanPosition = None) -> Iterator[JournalRecord]:
     """Yield records with ``seq > after_seq`` from a journal directory.
 
     The shared read path of :meth:`Journal.read` (live journal, segments
@@ -150,22 +206,28 @@ def scan_records(directory: str, after_seq: int = 0,
       construction), so a cursor pointing into a truncated-away range
       raises :class:`JournalTruncatedError` instead of silently skipping
       the gap — a streaming follower must re-bootstrap, not lose records.
+
+    A streaming reader passes its own :class:`ScanPosition`: when
+    ``after_seq`` is the position's seq, the scan seeks to the position's
+    byte offset, so a batch costs its own records rather than the whole
+    segment.  The position only ever moves past newline-terminated lines,
+    so a record caught half-flushed is re-read whole next time.
     """
     if segments is None:
         segments = list_segments(directory)
+    resume = position is not None and position.seq == after_seq
     expected = after_seq + 1
-    for position, name in enumerate(segments):
-        last_segment = position == len(segments) - 1
+    for index, name in enumerate(segments):
+        last_segment = index == len(segments) - 1
         # Skip whole segments that the next segment's first seq proves
         # are entirely covered by ``after_seq``.
         if not last_segment:
-            next_first = _segment_first_seq(segments[position + 1])
+            next_first = _segment_first_seq(segments[index + 1])
             if next_first is not None and next_first <= after_seq + 1:
                 continue
         path = os.path.join(directory, name)
         try:
-            with open(path, encoding="utf-8") as handle:
-                lines = handle.readlines()
+            handle = open(path, "rb")
         except FileNotFoundError:
             raise JournalTruncatedError(
                 "journal segment {!r} was truncated away while reading; "
@@ -174,30 +236,43 @@ def scan_records(directory: str, after_seq: int = 0,
         except OSError as exc:
             raise StorageError("could not read journal segment {!r}: {}".format(
                 path, exc))
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = JournalRecord.from_dict(json.loads(line))
-            except (ValueError, KeyError) as exc:
-                if last_segment and index == len(lines) - 1:
-                    # Torn tail from a crashed (or mid-append) writer: the
-                    # record never fully made it, so it never happened.
-                    return
-                raise StorageError(
-                    "corrupt journal record in {!r} line {}: {}".format(
-                        path, index + 1, exc))
-            if record.seq > after_seq:
-                if strict and record.seq != expected:
-                    raise JournalTruncatedError(
-                        "journal records {}..{} were rotated out and "
-                        "truncated; the stream cursor is stale — "
-                        "re-bootstrap from the newest snapshot".format(
-                            expected, record.seq - 1),
-                        oldest_available=record.seq)
-                expected = record.seq + 1
-                yield record
+        with handle:
+            # Only the first segment read can hold the reader's position.
+            offset = position.offset if resume and name == position.segment else 0
+            resume = False
+            if offset and not _resumes_at(handle, offset, expected):
+                offset = 0
+            handle.seek(offset)
+            for line in handle:
+                start, offset = offset, offset + len(line)
+                if not line.strip():
+                    continue
+                try:
+                    record = JournalRecord.from_dict(json.loads(line))
+                except (ValueError, KeyError) as exc:
+                    if last_segment and (not line.endswith(b"\n")
+                                         or not handle.read(1)):
+                        # Torn tail from a crashed (or mid-append) writer:
+                        # the record never fully made it, so it never
+                        # happened.
+                        return
+                    raise StorageError(
+                        "corrupt journal record in {!r} at byte {}: {}".format(
+                            path, start, exc))
+                if record.seq > after_seq:
+                    if strict and record.seq != expected:
+                        raise JournalTruncatedError(
+                            "journal records {}..{} were rotated out and "
+                            "truncated; the stream cursor is stale — "
+                            "re-bootstrap from the newest snapshot".format(
+                                expected, record.seq - 1),
+                            oldest_available=record.seq)
+                    expected = record.seq + 1
+                    if position is not None and line.endswith(b"\n"):
+                        position.segment = name
+                        position.offset = offset
+                        position.seq = record.seq
+                    yield record
 
 
 @dataclass
@@ -457,7 +532,8 @@ class Journal:
             self._close_handle()
 
     # ------------------------------------------------------------------- reads
-    def read(self, after_seq: int = 0, strict: bool = False) -> Iterator[JournalRecord]:
+    def read(self, after_seq: int = 0, strict: bool = False,
+             position: ScanPosition = None) -> Iterator[JournalRecord]:
         """Yield records with ``seq > after_seq``, oldest first.
 
         Reads the segment files directly (snapshotted under the lock), so a
@@ -466,7 +542,8 @@ class Journal:
         a truncated-away range — raises the resumable
         :class:`~repro.errors.JournalTruncatedError` (see
         :func:`scan_records`); streaming readers use this so rotation and
-        truncation can never silently swallow records.
+        truncation can never silently swallow records.  A streaming reader
+        passes its :class:`ScanPosition` to resume where it stopped.
         """
         with self._lock:
             # Make sure everything appended so far is visible to the reader.
@@ -474,7 +551,7 @@ class Journal:
                 self._handle.flush()
             segments = self.segment_files()
         return scan_records(self._directory, after_seq=after_seq,
-                            segments=segments, strict=strict)
+                            segments=segments, strict=strict, position=position)
 
     # -------------------------------------------------------------- truncation
     def truncate_through(self, seq: int) -> List[str]:
@@ -601,9 +678,8 @@ class Journal:
             offset = newline + 1
             if not line:
                 continue
-            try:
-                seq = int(json.loads(line.decode("utf-8"))["seq"])
-            except (ValueError, KeyError, UnicodeDecodeError):
+            seq = _line_seq(line)
+            if seq is None:
                 # Only tolerable as the *trailing* damage of a crash.  If
                 # valid records follow, truncating here would destroy
                 # committed data — that is corruption, and it must raise

@@ -12,15 +12,20 @@ journal's own lock discipline.
 Follower cursors are remembered per ``follower_id`` (replicas send theirs
 on every poll), so ``GET /v2/runtime/replication`` on the primary answers
 the operational question "how far behind is each standby?" without asking
-the standbys.
+the standbys.  Each follower also gets its own byte position in the
+journal, so its next batch resumes where the last one stopped instead of
+re-parsing the segment from its start.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import closing
+from itertools import islice
 from typing import Any, Dict, List
 
 from ..errors import ReplicationError
+from ..persistence.journal import ScanPosition
 from .stream import (
     DEFAULT_BATCH_LIMIT,
     BootstrapPayload,
@@ -43,6 +48,8 @@ class ReplicationPrimary(ReplicationSource):
         self._coordinator = service.persistence
         #: follower id -> last observed cursor + lag.
         self._followers: Dict[str, Dict[str, Any]] = {}
+        #: follower id -> where its last batch stopped in the journal.
+        self._positions: Dict[str, ScanPosition] = {}
         self._lock = threading.Lock()
         service.replication = self
 
@@ -63,11 +70,13 @@ class ReplicationPrimary(ReplicationSource):
                    follower_id: str = None) -> StreamBatch:
         limit = limit or DEFAULT_BATCH_LIMIT
         journal = self._coordinator.journal
-        records = []
-        for record in journal.read(after_seq=after_seq, strict=True):
-            records.append(record)
-            if len(records) >= limit:
-                break
+        position = None
+        if follower_id:
+            with self._lock:
+                position = self._positions.setdefault(follower_id, ScanPosition())
+        with closing(journal.read(after_seq=after_seq, strict=True,
+                                  position=position)) as reader:
+            records = list(islice(reader, limit))
         next_seq = records[-1].seq if records else after_seq
         head = max(next_seq, journal.last_seq)
         if follower_id:

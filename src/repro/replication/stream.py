@@ -13,7 +13,10 @@ protocol a follower speaks against it:
   :class:`StreamBatch` of records with ``seq > after_seq``.  The cursor is
   the sequence number itself: segment file names encode their first
   sequence number, so a resume seeks directly to the right segment without
-  scanning the ones before it.  Batches carry the journal head at read
+  scanning the ones before it.  Within that segment it seeks to the byte
+  where the follower's last batch stopped (a reader-owned
+  :class:`~repro.persistence.journal.ScanPosition`), so a batch costs its
+  own records, not the segment.  Batches carry the journal head at read
   time, so the follower tracks ``(applied_seq, lag)`` continuously.
 * **staleness** — rotation is safe for concurrent readers, and truncation
   is *detected*, never silently skipped: a cursor pointing into a
@@ -41,12 +44,15 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Optional
 
 from ..persistence.coordinator import PersistenceConfig
 from ..persistence.journal import (
     JournalRecord,
+    ScanPosition,
     scan_last_seq,
     scan_oldest_seq,
     scan_records,
@@ -200,6 +206,8 @@ class JournalShippingSource(ReplicationSource):
         if isinstance(config, str):
             config = PersistenceConfig(config)
         self._config = config
+        #: Where the last batch stopped, so the next one seeks past it.
+        self._position = ScanPosition()
 
     @property
     def config(self) -> PersistenceConfig:
@@ -222,22 +230,13 @@ class JournalShippingSource(ReplicationSource):
                    follower_id: str = None) -> StreamBatch:
         limit = limit or DEFAULT_BATCH_LIMIT
         directory = self._config.journal_directory
-        records: List[JournalRecord] = []
-        overflow = None
-        for record in scan_records(directory, after_seq=after_seq, strict=True):
-            if len(records) >= limit:
-                overflow = record
-                break
-            records.append(record)
+        with closing(scan_records(directory, after_seq=after_seq, strict=True,
+                                  position=self._position)) as reader:
+            records = list(islice(reader, limit))
         next_seq = records[-1].seq if records else after_seq
-        if overflow is not None:
-            # The batch is full and more records provably exist: report the
-            # overflow record as a *lower bound* on the head instead of
-            # paying a full tail-segment scan per batch — the caller keeps
-            # draining, and the final (under-limit) batch scans exactly.
-            head = overflow.seq
-        else:
-            head = max(next_seq, scan_last_seq(directory))
+        # scan_last_seq reads only the newest segment's tail, so every
+        # batch can report the exact head.
+        head = max(next_seq, scan_last_seq(directory))
         return StreamBatch(records=records, next_seq=next_seq, head_seq=head)
 
     def head_seq(self) -> int:

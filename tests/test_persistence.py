@@ -9,12 +9,18 @@ results and the execution-log contents are identical to the pre-crash state.
 
 import json
 import os
+from itertools import islice
 
 import pytest
 
 from repro.actions import library
 from repro.clock import SimulatedClock
-from repro.errors import ConcurrencyError, ServiceError, StorageError
+from repro.errors import (
+    ConcurrencyError,
+    JournalTruncatedError,
+    ServiceError,
+    StorageError,
+)
 from repro.events import BatchingEventBus, Event
 from repro.model import LifecycleBuilder
 from repro.persistence import (
@@ -24,10 +30,14 @@ from repro.persistence import (
     PersistenceConfig,
     PersistenceCoordinator,
     SQLiteStore,
+    ScanPosition,
     SnapshotManifest,
     SnapshotStore,
     document_for,
+    list_segments,
     recover_into,
+    scan_last_seq,
+    scan_records,
 )
 from repro.plugins import build_standard_environment
 from repro.runtime import LifecycleManager, ShardedLifecycleManager
@@ -291,6 +301,239 @@ class TestJournalWaitForSeq:
         with pytest.raises(JournalTruncatedError) as excinfo:
             list(journal.read(after_seq=2, strict=True))
         assert excinfo.value.oldest_available == 7
+
+
+# ======================================================== resumable reads
+def full_scan_last_seq(directory):
+    """The forward, whole-segment ``scan_last_seq`` that the tail read
+    replaced; kept as the reference its answers must match."""
+    for name in reversed(list_segments(directory)):
+        last_seq = None
+        try:
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        last_seq = int(json.loads(line)["seq"])
+                    except (ValueError, KeyError):
+                        continue
+        except OSError:
+            continue
+        if last_seq is not None:
+            return last_seq
+        first = int(name[len("journal-"):-len(".jsonl")])
+        if first:
+            return first
+    return 0
+
+
+def write_segment(directory, first_seq, lines):
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, "journal-{:016d}.jsonl".format(first_seq))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(lines))
+    return path
+
+
+def record_line(seq, pad=0):
+    return json.dumps({"seq": seq, "kind": "k", "timestamp": "2009-01-01T00:00:00",
+                       "subject_id": "s", "payload": {"pad": "x" * pad}},
+                      separators=(",", ":")) + "\n"
+
+
+class TestScanLastSeqTail:
+    """``scan_last_seq`` reads segments backwards from the end; its answer
+    must equal the old full forward scan's on every layout."""
+
+    LAYOUTS = {
+        "single": [(1, [record_line(seq) for seq in range(1, 6)])],
+        "torn fragment": [(1, [record_line(1), record_line(2), record_line(3)[:25]])],
+        "torn terminated garbage": [(1, [record_line(1), "#garbage#\n"])],
+        "whole record without newline": [(1, [record_line(1), record_line(2)[:-1]])],
+        "blank lines": [(1, [record_line(1), "\n", record_line(2), "\n\n"])],
+        "corrupt middle line": [(1, [record_line(1), "#bad#\n", record_line(3)])],
+        "empty last segment": [(1, [record_line(1), record_line(2)]), (3, [])],
+        "garbage-only last segment": [(1, [record_line(1)]), (2, ["#x"])],
+        "empty segment named 0": [(0, [])],
+        "multi segment": [(1, [record_line(seq) for seq in range(1, 4)]),
+                          (4, [record_line(seq) for seq in range(4, 9)])],
+        "lines longer than the tail block": [
+            (1, [record_line(seq, pad=7000) for seq in range(1, 5)]
+             + [record_line(5, pad=20000)[:-300]])],
+        "fragment longer than the tail block": [
+            (1, [record_line(1), record_line(2, pad=30000)[:-2]])],
+        "no segments": [],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_tail_read_matches_full_scan(self, tmp_path, layout):
+        directory = str(tmp_path / "journal")
+        os.makedirs(directory)
+        for first_seq, lines in self.LAYOUTS[layout]:
+            write_segment(directory, first_seq, lines)
+        sizes = {name: os.path.getsize(os.path.join(directory, name))
+                 for name in os.listdir(directory)}
+        assert scan_last_seq(directory) == full_scan_last_seq(directory)
+        assert {name: os.path.getsize(os.path.join(directory, name))
+                for name in os.listdir(directory)} == sizes, "must stay read-only"
+
+    def test_live_journal_head(self, tmp_path):
+        journal = Journal(str(tmp_path), fsync="never", segment_max_records=4)
+        for index in range(10):
+            journal.append("k", SimulatedClock().now(), "s",
+                           payload={"pad": "y" * (index * 900)})
+            assert scan_last_seq(str(tmp_path)) == journal.last_seq == index + 1
+
+
+class TestScanPosition:
+    """Resumable reads: a reader-owned :class:`ScanPosition` lets the next
+    scan seek to where the last one stopped, and never changes what a scan
+    returns."""
+
+    def _journal(self, tmp_path, **options):
+        return Journal(str(tmp_path), fsync="never", **options)
+
+    def _append(self, journal, count):
+        for index in range(count):
+            journal.append("k", SimulatedClock().now(), "s{}".format(index))
+
+    def test_position_follows_yielded_records(self, tmp_path):
+        journal = self._journal(tmp_path)
+        self._append(journal, 5)
+        position = ScanPosition()
+        batch = list(islice(journal.read(strict=True, position=position), 3))
+        assert [r.seq for r in batch] == [1, 2, 3]
+        assert position.seq == 3
+        assert position.segment == journal.segment_files()[0]
+        with open(os.path.join(str(tmp_path), position.segment), "rb") as handle:
+            assert handle.read()[:position.offset].count(b"\n") == 3
+
+    def test_resume_does_not_reparse_lines_before_the_position(self, tmp_path):
+        journal = self._journal(tmp_path)
+        self._append(journal, 5)
+        position = ScanPosition()
+        assert [r.seq for r in journal.read(strict=True, position=position)] == \
+            [1, 2, 3, 4, 5]
+        # Damage line 2 in place (same length, so offsets hold).
+        path = os.path.join(str(tmp_path), journal.segment_files()[0])
+        with open(path, "r+b") as handle:
+            handle.seek(handle.read().index(b"\n") + 1)
+            handle.write(b"#")
+        self._append(journal, 2)
+        assert [r.seq for r in journal.read(5, strict=True, position=position)] == \
+            [6, 7]
+        with pytest.raises(StorageError):
+            list(journal.read(5, strict=True))
+
+    def test_position_at_end_of_sealed_segment_carries_into_next(self, tmp_path):
+        journal = self._journal(tmp_path)
+        self._append(journal, 3)
+        position = ScanPosition()
+        assert [r.seq for r in journal.read(strict=True, position=position)] == \
+            [1, 2, 3]
+        sealed = position.segment
+        assert list(journal.read(3, strict=True, position=position)) == []
+        assert journal.rotate() is True
+        self._append(journal, 2)
+        assert len(journal.segment_files()) == 2
+        assert [r.seq for r in journal.read(3, strict=True, position=position)] == \
+            [4, 5]
+        assert position.segment != sealed
+        assert position.seq == 5
+
+    def test_truncated_position_segment_raises_typed_error(self, tmp_path):
+        journal = self._journal(tmp_path, segment_max_records=4)
+        self._append(journal, 6)
+        position = ScanPosition()
+        assert [r.seq for r in islice(
+            journal.read(strict=True, position=position), 2)] == [1, 2]
+        self._append(journal, 6)  # segments [1..4], [5..8], [9..12]
+        assert len(journal.truncate_through(8)) == 2
+        assert position.segment not in journal.segment_files()
+        with pytest.raises(JournalTruncatedError) as excinfo:
+            list(journal.read(2, strict=True, position=position))
+        assert excinfo.value.oldest_available == 9
+
+    def test_position_for_another_seq_falls_back_to_full_scan(self, tmp_path):
+        journal = self._journal(tmp_path)
+        self._append(journal, 10)
+        position = ScanPosition()
+        assert len(list(journal.read(strict=True, position=position))) == 10
+        assert position.seq == 10
+        assert [r.seq for r in journal.read(4, strict=True, position=position)] == \
+            list(range(5, 11))
+        assert position.seq == 10
+
+    @pytest.mark.parametrize("offset_shift", [-7, 1, 10 ** 6])
+    def test_bad_offset_is_dropped_not_raised(self, tmp_path, offset_shift):
+        journal = self._journal(tmp_path)
+        self._append(journal, 6)
+        position = ScanPosition()
+        list(islice(journal.read(strict=True, position=position), 3))
+        position.offset += offset_shift  # mid-line, or past the end
+        assert [r.seq for r in journal.read(3, strict=True, position=position)] == \
+            [4, 5, 6]
+        assert position.seq == 6
+
+    def test_offset_of_the_wrong_record_is_dropped(self, tmp_path):
+        journal = self._journal(tmp_path)
+        self._append(journal, 6)
+        position = ScanPosition()
+        list(islice(journal.read(strict=True, position=position), 2))
+        stale_offset = position.offset
+        list(islice(journal.read(2, strict=True, position=position), 2))
+        position.offset = stale_offset  # points at record 3, not 5
+        assert [r.seq for r in journal.read(4, strict=True, position=position)] == \
+            [5, 6]
+
+    def test_half_written_line_is_not_skipped_once_complete(self, tmp_path):
+        directory = str(tmp_path)
+        path = write_segment(directory, 1, [record_line(seq) for seq in (1, 2, 3)])
+        position = ScanPosition()
+        assert [r.seq for r in scan_records(directory, 0, strict=True,
+                                            position=position)] == [1, 2, 3]
+        line = record_line(4)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line[:30])
+        assert list(scan_records(directory, 3, strict=True, position=position)) == []
+        assert position.seq == 3
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line[30:-1])  # whole record, newline still missing
+        assert [r.seq for r in scan_records(directory, 3, strict=True,
+                                            position=position)] == [4]
+        assert position.seq == 3, "only newline-terminated lines move it"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n" + record_line(5))
+        assert [r.seq for r in scan_records(directory, 3, strict=True,
+                                            position=position)] == [4, 5]
+        assert position.seq == 5
+
+    @pytest.mark.parametrize("valid_first", [False, True])
+    def test_corrupt_line_after_position_is_storage_error(self, tmp_path,
+                                                           valid_first):
+        directory = str(tmp_path)
+        path = write_segment(directory, 1, [record_line(seq) for seq in (1, 2)])
+        position = ScanPosition()
+        assert len(list(scan_records(directory, 0, strict=True,
+                                     position=position))) == 2
+        with open(path, "a", encoding="utf-8") as handle:
+            if valid_first:
+                handle.write(record_line(3))
+            handle.write("#corrupt#\n" + record_line(4))
+        with pytest.raises(StorageError):
+            list(scan_records(directory, 2, strict=True, position=position))
+
+    def test_torn_tail_after_position_is_tolerated(self, tmp_path):
+        directory = str(tmp_path)
+        path = write_segment(directory, 1, [record_line(1)])
+        position = ScanPosition()
+        assert len(list(scan_records(directory, 0, position=position))) == 1
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(record_line(2) + "#torn#\n")
+        assert [r.seq for r in scan_records(directory, 1, strict=True,
+                                            position=position)] == [2]
 
 
 # ================================================================= snapshots

@@ -1,12 +1,22 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import json
+import os
 import string
+import tempfile
+from itertools import islice
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.clock import SimulatedClock
+from repro.errors import JournalTruncatedError, StorageError
 from repro.identifiers import normalize_uri, slugify
 from repro.model import ActionCall, LifecycleBuilder, LifecycleModel, Phase, BEGIN
 from repro.model.lifecycle import LifecycleModel as Model
+from repro.persistence import Journal, PersistenceConfig
+from repro.persistence.journal import list_segments, scan_records
+from repro.replication import JournalShippingSource, ReplicationPrimary
 from repro.serialization import (
     lifecycle_from_json,
     lifecycle_from_xml,
@@ -159,3 +169,116 @@ class TestRepositoryProperties:
         for record_id in to_delete:
             assert repository.delete(record_id)
         assert set(repository.ids()) == set(record_ids) - set(to_delete)
+
+
+# ------------------------------------------------------- journal streaming
+
+FOLLOWERS = ("a", "b")
+
+stream_ops = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 6)),
+    st.tuples(st.just("rotate")),
+    st.tuples(st.just("truncate"), st.integers(0, 40)),
+    st.tuples(st.just("tear"), st.integers(1, 200)),
+    st.tuples(st.just("read"), st.sampled_from(["primary", "shipping"]),
+              st.sampled_from(FOLLOWERS), st.integers(1, 6)),
+), max_size=40)
+
+
+class JournalStream:
+    """A small journal, its writer's crashes, and followers reading it
+    through both sources, each batch checked against a position-less scan."""
+
+    def __init__(self, root):
+        self.config = PersistenceConfig(root)
+        self.directory = self.config.journal_directory
+        self.journal = self._open()
+        self.torn = False
+        # ReplicationPrimary needs only these parts of a durable service.
+        self.service = SimpleNamespace(
+            persistence=SimpleNamespace(journal=self.journal), read_only=False,
+            manager=SimpleNamespace(clock=SimulatedClock()))
+        self.sources = {("primary", follower): ReplicationPrimary(self.service)
+                        for follower in FOLLOWERS}
+        # One primary serves both followers; a shipping source is per follower.
+        self.sources[("primary", "b")] = self.sources[("primary", "a")]
+        for follower in FOLLOWERS:
+            self.sources[("shipping", follower)] = JournalShippingSource(self.config)
+        self.cursors = {key: 0 for key in self.sources}
+
+    def _open(self):
+        return Journal(self.directory, fsync="never", segment_max_records=4)
+
+    def writer(self):
+        """The journal to write through; after a tear, the crashed writer's
+        successor, which repairs the torn tail on open."""
+        if self.torn:
+            self.journal.close()
+            self.journal = self._open()
+            self.service.persistence.journal = self.journal
+            self.torn = False
+        return self.journal
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "append":
+            journal = self.writer()
+            for index in range(op[1]):
+                journal.append("k", SimulatedClock().now(), "s{}".format(index),
+                               payload={"pad": "x" * (index * 37)})
+        elif kind == "rotate":
+            self.writer().rotate()
+        elif kind == "truncate":
+            journal = self.writer()
+            journal.truncate_through(min(op[1], journal.last_seq))
+        elif kind == "tear":
+            self.tear(op[1])
+        else:
+            self.read(op[1], op[2], op[3])
+
+    def tear(self, cut):
+        segments = list_segments(self.directory)
+        if not segments:
+            return
+        line = json.dumps({"seq": self.journal.last_seq + 1, "kind": "k",
+                           "timestamp": "2009-01-01T00:00:00", "subject_id": "t",
+                           "payload": {}}, separators=(",", ":"))
+        with open(os.path.join(self.directory, segments[-1]), "a") as handle:
+            handle.write(line[:cut])
+        self.torn = True
+
+    def read(self, kind, follower, limit):
+        key = (kind, follower)
+        cursor = self.cursors[key]
+        expected_error = None
+        try:
+            expected = [record.to_dict() for record in islice(
+                scan_records(self.directory, cursor, strict=True), limit)]
+        except StorageError as exc:
+            expected_error = type(exc)
+        try:
+            batch = self.sources[key].read_batch(cursor, limit=limit,
+                                                 follower_id=follower)
+        except StorageError as exc:
+            assert type(exc) is expected_error
+            if isinstance(exc, JournalTruncatedError):
+                # The follower re-bootstraps past the gap.
+                self.cursors[key] = max(cursor, exc.oldest_available - 1)
+            return
+        assert expected_error is None
+        assert [record.to_dict() for record in batch.records] == expected
+        assert batch.head_seq >= batch.next_seq
+        self.cursors[key] = batch.next_seq
+
+
+class TestJournalStreamProperties:
+    @given(stream_ops)
+    @settings(max_examples=40, deadline=None)
+    def test_positioned_batches_equal_a_fresh_scan(self, ops):
+        with tempfile.TemporaryDirectory(prefix="gelee-stream-") as root:
+            stream = JournalStream(root)
+            try:
+                for op in ops:
+                    stream.apply(op)
+            finally:
+                stream.journal.close()

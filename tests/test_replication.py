@@ -10,6 +10,7 @@ is lost — timers re-armed, writes accepted.
 import os
 import shutil
 import tempfile
+from itertools import islice
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.errors import (
     JournalTruncatedError,
     ReadOnlyReplicaError,
     ReplicationError,
+    StorageError,
 )
 from repro.model import LifecycleBuilder
 from repro.persistence import Journal, PersistenceConfig
@@ -149,8 +151,7 @@ class TestJournalStreaming:
         batch = source.read_batch(0, limit=5)
         assert batch.count == 5
         assert batch.next_seq == 5
-        # A full batch reports a lower-bound head (no tail scan per batch);
-        # it must still prove the follower is not caught up.
+        # A full batch must prove the follower is not caught up.
         assert batch.next_seq < batch.head_seq <= source.head_seq()
         assert not batch.caught_up
         rest = source.read_batch(batch.next_seq)
@@ -160,6 +161,107 @@ class TestJournalStreaming:
         from repro.replication import StreamBatch
         clone = StreamBatch.from_dict(batch.to_dict())
         assert [r.seq for r in clone.records] == [r.seq for r in batch.records]
+
+
+    def _streamed_primary(self, root, instances=6):
+        config, service = build_primary(root)
+        model = replication_model()
+        service.manager.publish_model(model, actor="alice")
+        seed_instances(service, model, instances)
+        return config, service
+
+    def test_followers_keep_independent_positions(self, root):
+        config, service = self._streamed_primary(root)
+        primary = service.replication
+        first_a = primary.read_batch(0, limit=3, follower_id="a")
+        first_b = primary.read_batch(0, limit=7, follower_id="b")
+        positions = primary._positions
+        assert (positions["a"].seq, positions["b"].seq) == (3, 7)
+        assert positions["a"].offset < positions["b"].offset
+        second_a = primary.read_batch(first_a.next_seq, limit=2, follower_id="a")
+        second_b = primary.read_batch(first_b.next_seq, limit=2, follower_id="b")
+        assert [r.seq for r in second_a.records] == [4, 5]
+        assert [r.seq for r in second_b.records] == [8, 9]
+        assert (positions["a"].seq, positions["b"].seq) == (5, 9)
+        # An anonymous read keeps no position and moves neither follower's.
+        assert primary.read_batch(0, limit=50).count == min(50, primary.head_seq())
+        assert sorted(positions) == ["a", "b"]
+        assert (positions["a"].seq, positions["b"].seq) == (5, 9)
+        assert sorted(primary.status()["followers"]) == ["a", "b"]
+
+    def test_read_batch_limit_stops_reading_early(self, root):
+        config, service = self._streamed_primary(root)
+        journal = service.persistence.journal
+        assert journal.last_seq > 12
+        # Damage record 11, with valid records after it: only a read that
+        # reaches it can notice.
+        path = os.path.join(journal.directory, journal.segment_files()[-1])
+        with open(path, "r+b") as handle:
+            data = handle.read()
+            handle.seek(sum(len(line) for line in data.splitlines(True)[:10]))
+            handle.write(b"#")
+        primary = service.replication
+        shipping = JournalShippingSource(config)
+        for source in (primary, shipping):
+            first = source.read_batch(0, limit=5, follower_id="a")
+            assert [r.seq for r in first.records] == [1, 2, 3, 4, 5]
+            second = source.read_batch(5, limit=5, follower_id="a")
+            assert [r.seq for r in second.records] == [6, 7, 8, 9, 10]
+            with pytest.raises(StorageError):
+                source.read_batch(10, limit=5, follower_id="a")
+        assert primary._positions["a"].seq == shipping._position.seq == 10
+
+    def test_concurrent_reads_sharing_one_follower_position(self, root):
+        """Several threads read as one follower id (so they race on one
+        position) while a writer appends and rotates: every batch must
+        still be exactly the records a fresh scan finds after its cursor."""
+        import random
+        import sys
+        import threading
+
+        config, service = self._streamed_primary(root, instances=2)
+        primary, journal = service.replication, service.persistence.journal
+        clock = SimulatedClock()
+        stop = threading.Event()
+        failures = []
+
+        def write():
+            for index in range(600):
+                journal.append("k", clock.now(), "w", payload={"pad": "p" * (index % 50)})
+                if index % 97 == 0:
+                    journal.rotate()
+            stop.set()
+
+        def read(seed):
+            rng = random.Random(seed)
+            cursor = 0
+            try:
+                while not stop.is_set() or cursor < journal.last_seq:
+                    if rng.random() < 0.1:
+                        cursor = rng.randrange(0, journal.last_seq + 1)
+                    batch = primary.read_batch(cursor, limit=rng.randrange(1, 40),
+                                               follower_id="shared")
+                    fresh = list(islice(scan_records(journal.directory, cursor,
+                                                     strict=True), batch.count))
+                    assert [r.to_dict() for r in batch.records] == \
+                        [r.to_dict() for r in fresh]
+                    cursor = batch.next_seq
+            except BaseException as exc:  # reported on the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
 
 # ============================================================= read replica
