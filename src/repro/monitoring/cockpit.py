@@ -7,13 +7,14 @@ owner, delay reports and per-phase duration statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Dict, List, Optional
 
 from ..clock import Clock
 from ..runtime.instance import InstanceStatus, LifecycleInstance
 from ..runtime.manager import LifecycleManager
+from ..runtime.rollup import PortfolioSummary
 
 
 @dataclass
@@ -53,38 +54,6 @@ class InstanceStatusRow:
             "deviations": self.deviations,
             "failed_actions": self.failed_actions,
             "annotations": self.annotations,
-        }
-
-
-@dataclass
-class PortfolioSummary:
-    """Roll-up of a set of instances (typically one project's deliverables)."""
-
-    total: int = 0
-    active: int = 0
-    completed: int = 0
-    not_started: int = 0
-    late: int = 0
-    with_deviations: int = 0
-    with_failed_actions: int = 0
-    #: Instances the scheduler escalated at least once (annotation kind
-    #: ``"escalation"`` — durable, so the count survives restarts).
-    escalated: int = 0
-    by_phase: Dict[str, int] = field(default_factory=dict)
-    by_owner: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "total": self.total,
-            "active": self.active,
-            "completed": self.completed,
-            "not_started": self.not_started,
-            "late": self.late,
-            "with_deviations": self.with_deviations,
-            "with_failed_actions": self.with_failed_actions,
-            "escalated": self.escalated,
-            "by_phase": dict(self.by_phase),
-            "by_owner": dict(self.by_owner),
         }
 
 
@@ -147,44 +116,14 @@ class MonitoringCockpit:
                 for status, count in self._manager.status_distribution().items()}
 
     def portfolio_summary(self, model_uri: str = None, now: datetime = None) -> PortfolioSummary:
-        """Roll-up over the (index-selected) instances of one model or all.
+        """Roll-up over the instances of one model or all.
 
-        Selection comes from the runtime index (only instances of
-        ``model_uri`` are visited); the per-instance work is reduced to the
-        deadline check — no full status rows are materialised.
+        Answered from the runtime's per-shard roll-up counters, read under
+        the shard locks: the cost does not grow with the portfolio, only
+        ``late`` visits instances, and only those on deadline phases.
         """
-        now = now or self._clock.now()
-        summary = PortfolioSummary()
-        for instance in self._manager.instances(model_uri=model_uri):
-            summary.total += 1
-            if instance.status is InstanceStatus.COMPLETED:
-                summary.completed += 1
-            elif instance.status is InstanceStatus.ACTIVE:
-                summary.active += 1
-            else:
-                summary.not_started += 1
-            if self._is_late(instance, now):
-                summary.late += 1
-            if instance.deviations():
-                summary.with_deviations += 1
-            if instance.failed_invocations():
-                summary.with_failed_actions += 1
-            if any(a.kind == "escalation" for a in instance.annotations):
-                summary.escalated += 1
-            phase = instance.current_phase()
-            phase_name = phase.name if phase is not None else "(not started)"
-            summary.by_phase[phase_name] = summary.by_phase.get(phase_name, 0) + 1
-            summary.by_owner[instance.owner] = summary.by_owner.get(instance.owner, 0) + 1
-        return summary
-
-    def _is_late(self, instance: LifecycleInstance, now: datetime) -> bool:
-        phase = instance.current_phase()
-        if phase is None or phase.deadline is None:
-            return False
-        visit = instance.current_visit()
-        if visit is None or not visit.is_open:
-            return False
-        return phase.deadline.overdue_by(visit.entered_at, now).total_seconds() > 0
+        return self._manager.portfolio_summary(model_uri=model_uri,
+                                               now=now or self._clock.now())
 
     def late_instances(self, model_uri: str = None, now: datetime = None) -> List[InstanceStatusRow]:
         """Instances whose current phase deadline has passed, most late first."""
@@ -194,7 +133,8 @@ class MonitoringCockpit:
                         scheduler=None) -> Dict[str, object]:
         """One-look deadline health: armed, due-soon, overdue, escalated.
 
-        The passive view (deadline arithmetic over the instances) plus —
+        The passive view (deadline arithmetic over the instances the index
+        keeps on deadline phases) plus —
         when the deployment's :class:`~repro.scheduler.LifecycleScheduler`
         is passed — the active view: how many deadline timers are pending
         and how many escalations have already fired.  ``escalated`` counts
@@ -202,19 +142,13 @@ class MonitoringCockpit:
         so it needs no scheduler at all.
         """
         now = now or self._clock.now()
-        with_deadline = 0
         overdue = 0
         due_soon = 0
-        escalated = 0
         overdue_ids: List[str] = []
-        for instance in self._manager.instances(model_uri=model_uri):
-            if any(a.kind == "escalation" for a in instance.annotations):
-                escalated += 1
+        instances = self._manager.deadline_instances(model_uri=model_uri)
+        for instance in instances:
             phase = instance.current_phase()
             visit = instance.current_visit()
-            if phase is None or phase.deadline is None or visit is None or not visit.is_open:
-                continue
-            with_deadline += 1
             # One source of truth for boundary semantics: Deadline itself.
             if phase.deadline.is_overdue(visit.entered_at, now):
                 overdue += 1
@@ -223,10 +157,11 @@ class MonitoringCockpit:
                                            now + timedelta(days=1)):
                 due_soon += 1
         rollup: Dict[str, object] = {
-            "with_deadline": with_deadline,
+            "with_deadline": len(instances),
             "overdue": overdue,
             "due_within_24h": due_soon,
-            "escalated": escalated,
+            "escalated": self.portfolio_summary(model_uri=model_uri,
+                                                now=now).escalated,
             "overdue_instance_ids": overdue_ids,
         }
         if scheduler is not None:
@@ -409,17 +344,11 @@ class MonitoringCockpit:
 
     def completion_rate(self, model_uri: str = None) -> float:
         """Fraction of instances that reached an end phase (index counts)."""
-        if model_uri is None:
-            counts = self._manager.status_distribution()
-            total = sum(counts.values())
-            if not total:
-                return 0.0
-            return counts.get(InstanceStatus.COMPLETED, 0) / total
-        instances = self._manager.instances(model_uri=model_uri)
-        if not instances:
+        counts = self._manager.status_distribution(model_uri=model_uri)
+        total = sum(counts.values())
+        if not total:
             return 0.0
-        completed = sum(1 for instance in instances if instance.is_completed)
-        return completed / len(instances)
+        return counts.get(InstanceStatus.COMPLETED, 0) / total
 
     # --------------------------------------------------------------------- text
     def render_text(self, model_uri: str = None, now: datetime = None) -> str:

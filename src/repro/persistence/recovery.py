@@ -247,6 +247,8 @@ def fail_interrupted_invocations(manager, report: RecoveryReport = None,
             count += 1
             dirty = True
         if dirty:
+            instance.has_failed_actions = True
+            manager.reindex_instance(instance.instance_id)
             touched.append(instance.instance_id)
     if report is not None:
         report.invocations_interrupted += count
@@ -349,6 +351,7 @@ def _apply(manager, record: JournalRecord, report: RecoveryReport) -> None:
             phase_id=record.payload.get("phase_id"),
             kind=record.payload.get("kind", "note"),
         ))
+        manager.reindex_instance(record.subject_id)
         return
 
     if kind in ("instance.model_changed", "propagation.accepted"):

@@ -111,12 +111,22 @@ class LifecycleInstance:
     model_version: str = ""
     completed_at: Optional[datetime] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
+    #: Roll-up flags, set where they change so the runtime index counts
+    #: them without scanning visits, invocations or annotations: at least
+    #: one off-model visit, one failed invocation, one escalation.
+    has_deviations: bool = field(default=False, init=False, repr=False, compare=False)
+    has_failed_actions: bool = field(default=False, init=False, repr=False,
+                                     compare=False)
+    escalated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.model_version:
             self.model_version = self.model.version.version_number
         if self.owner and self.owner not in self.token_owners:
             self.token_owners.append(self.owner)
+        self.has_deviations = bool(self.deviations())
+        self.has_failed_actions = bool(self.failed_invocations())
+        self.escalated = any(a.kind == "escalation" for a in self.annotations)
 
     # ------------------------------------------------------------------ queries
     @property
@@ -184,6 +194,8 @@ class LifecycleInstance:
             followed_model=followed_model,
         )
         self.visits.append(visit)
+        if not followed_model:
+            self.has_deviations = True
         self.current_phase_id = phase.phase_id
         if phase.terminal:
             self.status = InstanceStatus.COMPLETED
@@ -202,7 +214,20 @@ class LifecycleInstance:
 
     def annotate(self, annotation: Annotation) -> Annotation:
         self.annotations.append(annotation)
+        if annotation.kind == "escalation":
+            self.escalated = True
         return annotation
+
+    def note_invocation_outcome(self, failed: bool) -> bool:
+        """Keep :attr:`has_failed_actions` current after an invocation's
+        status changed; only un-failing one (a late callback) rescans.
+        Returns whether the flag changed."""
+        before = self.has_failed_actions
+        if failed:
+            self.has_failed_actions = True
+        elif before:
+            self.has_failed_actions = bool(self.failed_invocations())
+        return self.has_failed_actions is not before
 
     def bind_instantiation_parameters(self, call_id: str, parameters: Dict[str, Any]) -> None:
         """Record instantiation-time parameter values for an action call."""

@@ -18,6 +18,7 @@ import random
 import threading
 import time
 from contextlib import contextmanager
+from datetime import datetime
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..actions.binding import ActionResolver
@@ -50,6 +51,7 @@ from ..resources.descriptor import ResourceDescriptor
 from ..telemetry import DEFAULT_LATENCY_BUCKETS, current_trace_id, get_registry
 from .instance import InstanceStatus, LifecycleInstance
 from .propagation import ChangeProposal, PropagationService
+from .rollup import Contribution, ModelRollup, PortfolioSummary, contribution
 
 
 class InstanceIndex:
@@ -59,11 +61,14 @@ class InstanceIndex:
     model, owner, resource, current phase and status; with the original
     single-dict design every such query was a linear scan over all
     instances.  The index keeps one ``key -> {instance_id: instance}``
-    mapping per dimension so lookups touch only the matching instances.
+    mapping per dimension so lookups touch only the matching instances,
+    plus one :class:`~repro.runtime.rollup.ModelRollup` of summary counters
+    per model, so the portfolio summary never visits instances at all.
 
-    Phase and status are mutable, so the index remembers the position it
-    last recorded per instance and :meth:`refresh` moves the entry when the
-    manager mutates an instance (token move, model change, migration).
+    Phase, status and the roll-up flags are mutable, so the index remembers
+    the position it last recorded per instance and :meth:`refresh` re-files
+    only what changed when the manager mutates an instance (token move,
+    annotation, failed action, model change, migration).
     """
 
     def __init__(self):
@@ -72,27 +77,41 @@ class InstanceIndex:
         self.by_resource: Dict[str, Dict[str, LifecycleInstance]] = {}
         self.by_phase: Dict[Optional[str], Dict[str, LifecycleInstance]] = {}
         self.by_status: Dict[InstanceStatus, Dict[str, LifecycleInstance]] = {}
-        #: instance id -> (model_uri, phase_id, status) as last indexed.
-        self._positions: Dict[str, Tuple[str, Optional[str], InstanceStatus]] = {}
+        self.rollups: Dict[str, ModelRollup] = {}
+        #: instance id -> (model_uri, phase_id, roll-up keys) as last indexed.
+        self._positions: Dict[str, Tuple[str, Optional[str], Contribution]] = {}
 
     def add(self, instance: LifecycleInstance) -> None:
         instance_id = instance.instance_id
         self.by_owner.setdefault(instance.owner, {})[instance_id] = instance
         self.by_resource.setdefault(instance.resource.uri, {})[instance_id] = instance
-        self._index_position(instance)
+        position = model_uri, phase_id, keys = self._position(instance)
+        self.by_model.setdefault(model_uri, {})[instance_id] = instance
+        self.by_phase.setdefault(phase_id, {})[instance_id] = instance
+        self.by_status.setdefault(keys[1], {})[instance_id] = instance
+        self._rollup(model_uri).count(instance, keys, 1)
+        self._positions[instance_id] = position
 
     def refresh(self, instance: LifecycleInstance) -> None:
-        """Re-file the instance under its current model/phase/status."""
-        recorded = self._positions.get(instance.instance_id)
-        current = (instance.model.uri, instance.current_phase_id, instance.status)
+        """Re-file the instance under its current model/phase/status/flags."""
+        instance_id = instance.instance_id
+        recorded = self._positions[instance_id]
+        current = self._position(instance)
         if recorded == current:
             return
-        if recorded is not None:
-            model_uri, phase_id, status = recorded
-            self._discard(self.by_model, model_uri, instance.instance_id)
-            self._discard(self.by_phase, phase_id, instance.instance_id)
-            self._discard(self.by_status, status, instance.instance_id)
-        self._index_position(instance)
+        model_uri, phase_id, keys = recorded
+        new_model_uri, new_phase_id, new_keys = current
+        if model_uri != new_model_uri:
+            self._move(self.by_model, model_uri, new_model_uri, instance)
+            self.rollups[model_uri].count(instance, keys, -1)
+            self._rollup(new_model_uri).count(instance, new_keys, 1)
+        else:
+            self.rollups[model_uri].refile(instance, keys, new_keys)
+        if phase_id != new_phase_id:
+            self._move(self.by_phase, phase_id, new_phase_id, instance)
+        if keys[1] is not new_keys[1]:
+            self._move(self.by_status, keys[1], new_keys[1], instance)
+        self._positions[instance_id] = current
 
     def lookup(self, dimension: Dict[Any, Dict[str, LifecycleInstance]],
                key: Any) -> List[LifecycleInstance]:
@@ -101,22 +120,31 @@ class InstanceIndex:
     def counts(self, dimension: Dict[Any, Dict[str, LifecycleInstance]]) -> Dict[Any, int]:
         return {key: len(members) for key, members in dimension.items() if members}
 
+    def model_rollups(self, model_uri: str = None) -> List[ModelRollup]:
+        """The roll-ups of one model (or of all models)."""
+        if model_uri is None:
+            return list(self.rollups.values())
+        rollup = self.rollups.get(model_uri)
+        return [rollup] if rollup is not None else []
+
     # ------------------------------------------------------------------ internal
-    def _index_position(self, instance: LifecycleInstance) -> None:
-        instance_id = instance.instance_id
-        self.by_model.setdefault(instance.model.uri, {})[instance_id] = instance
-        self.by_phase.setdefault(instance.current_phase_id, {})[instance_id] = instance
-        self.by_status.setdefault(instance.status, {})[instance_id] = instance
-        self._positions[instance_id] = (
-            instance.model.uri, instance.current_phase_id, instance.status
-        )
+    @staticmethod
+    def _position(instance: LifecycleInstance) -> Tuple[str, Optional[str], Contribution]:
+        return instance.model.uri, instance.current_phase_id, contribution(instance)
+
+    def _rollup(self, model_uri: str) -> ModelRollup:
+        rollup = self.rollups.get(model_uri)
+        if rollup is None:
+            rollup = self.rollups[model_uri] = ModelRollup()
+        return rollup
 
     @staticmethod
-    def _discard(dimension: Dict[Any, Dict[str, LifecycleInstance]],
-                 key: Any, instance_id: str) -> None:
-        members = dimension.get(key)
+    def _move(dimension: Dict[Any, Dict[str, LifecycleInstance]], old: Any,
+              new: Any, instance: LifecycleInstance) -> None:
+        members = dimension.get(old)
         if members is not None:
-            members.pop(instance_id, None)
+            members.pop(instance.instance_id, None)
+        dimension.setdefault(new, {})[instance.instance_id] = instance
 
 
 class LifecycleManager:
@@ -561,9 +589,28 @@ class LifecycleManager:
         """Instances per owner, straight from the index."""
         return self._index.counts(self._index.by_owner)
 
-    def status_distribution(self) -> Dict[InstanceStatus, int]:
-        """Instances per status, straight from the index."""
-        return self._index.counts(self._index.by_status)
+    def status_distribution(self, model_uri: str = None) -> Dict[InstanceStatus, int]:
+        """Instances per status (of one model or all), straight from the index."""
+        if model_uri is None:
+            return self._index.counts(self._index.by_status)
+        rollup = self._index.rollups.get(model_uri)
+        return dict(rollup.by_status) if rollup is not None else {}
+
+    def portfolio_summary(self, model_uri: str = None, now: datetime = None,
+                          into: PortfolioSummary = None) -> PortfolioSummary:
+        """The cockpit roll-up of one model's instances (or all), from the
+        index's counters; only deadline-phase instances are visited, for
+        ``late``.  ``into`` accumulates several managers' roll-ups."""
+        summary = into if into is not None else PortfolioSummary()
+        now = now or self._clock.now()
+        for rollup in self._index.model_rollups(model_uri):
+            rollup.add_to(summary, now)
+        return summary
+
+    def deadline_instances(self, model_uri: str = None) -> List[LifecycleInstance]:
+        """Instances whose open visit sits on a phase with a deadline."""
+        return [instance for rollup in self._index.model_rollups(model_uri)
+                for instance in rollup.on_deadline.values()]
 
     def _candidates(self, model_uri, owner, status, phase_id) -> List[LifecycleInstance]:
         """Pick the smallest indexed candidate set for an instances() query."""
@@ -707,6 +754,7 @@ class LifecycleManager:
             kind=kind,
         )
         instance.annotate(annotation)
+        self._index.refresh(instance)
         self._publish("instance.annotated", instance_id, actor,
                       text=text, kind=kind, phase_id=annotation.phase_id)
         return annotation
@@ -883,6 +931,9 @@ class LifecycleManager:
                     message = StatusMessage(status=status, detail=detail,
                                             timestamp=self._clock.now(), payload=payload)
                     invocation.record(message)
+                    if instance.note_invocation_outcome(
+                            failed=invocation.status is ActionStatus.FAILED):
+                        self._index.refresh(instance)
                     self._publish("action.status", instance_id, None,
                                   call_id=call_id, status=status, detail=detail)
                     return message
@@ -965,6 +1016,9 @@ class LifecycleManager:
             contexts[invocation.invocation_id] = (resolved, adapter.context_for(
                 instance.resource.uri, resolved.parameters, actor=actor))
         visit.invocations.extend(failed_bindings)
+        if failed_bindings:
+            instance.has_failed_actions = True
+            self._index.refresh(instance)
         for failed in failed_bindings:
             self._publish("action.failed", instance.instance_id, actor,
                           action_uri=failed.action_uri, action_name=failed.action_name,
@@ -1013,6 +1067,8 @@ class LifecycleManager:
                 with self._completion_lock:
                     self._dispatcher.complete(invocation, result=result, error=error)
                     completed = invocation.status is ActionStatus.COMPLETED
+                    if instance.note_invocation_outcome(failed=not completed):
+                        self._index.refresh(instance)
                     kind = "action.completed" if completed else "action.failed"
                     self._publish(kind, instance_id, actor,
                                   action_uri=invocation.action_uri,

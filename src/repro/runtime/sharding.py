@@ -44,6 +44,7 @@ import threading
 import time
 import zlib
 from contextlib import contextmanager
+from datetime import datetime
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..actions.completion import CompletionExecutor, PooledCompletionExecutor
@@ -59,6 +60,7 @@ from ..telemetry.profiling import TimedLock
 from ..workers import WorkerPool
 from .instance import InstanceStatus, LifecycleInstance
 from .manager import LifecycleManager
+from .rollup import PortfolioSummary
 
 
 def shard_index_for(instance_id: str, shard_count: int) -> int:
@@ -376,8 +378,27 @@ class ShardedLifecycleManager:
     def owner_distribution(self) -> Dict[str, int]:
         return self._merge_counts(lambda shard: shard.owner_distribution())
 
-    def status_distribution(self) -> Dict[InstanceStatus, int]:
-        return self._merge_counts(lambda shard: shard.status_distribution())
+    def status_distribution(self, model_uri: str = None) -> Dict[InstanceStatus, int]:
+        return self._merge_counts(
+            lambda shard: shard.status_distribution(model_uri=model_uri))
+
+    def portfolio_summary(self, model_uri: str = None,
+                          now: datetime = None) -> PortfolioSummary:
+        """Merge every shard's roll-up counters, each under its shard lock:
+        O(shards), not O(instances) (see :mod:`repro.runtime.rollup`)."""
+        summary = PortfolioSummary()
+        now = now or self.clock.now()
+        for index, shard in enumerate(self._shards):
+            with self._locks[index]:
+                shard.portfolio_summary(model_uri=model_uri, now=now, into=summary)
+        return summary
+
+    def deadline_instances(self, model_uri: str = None) -> List[LifecycleInstance]:
+        result: List[LifecycleInstance] = []
+        for index, shard in enumerate(self._shards):
+            with self._locks[index]:
+                result.extend(shard.deadline_instances(model_uri=model_uri))
+        return result
 
     # ------------------------------------------------------------- progression
     # The synchronous verbs submit under the shard lock, then wait for the

@@ -7,23 +7,31 @@ import tempfile
 from itertools import islice
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clock import SimulatedClock
 from repro.errors import JournalTruncatedError, StorageError
+from repro.events import EventBus
 from repro.identifiers import normalize_uri, slugify
 from repro.model import ActionCall, LifecycleBuilder, LifecycleModel, Phase, BEGIN
+from repro.model.deadline import Deadline
 from repro.model.lifecycle import LifecycleModel as Model
-from repro.persistence import Journal, PersistenceConfig
+from repro.monitoring import MonitoringCockpit
+from repro.persistence import Journal, PersistenceConfig, PersistenceCoordinator, recover_into
 from repro.persistence.journal import list_segments, scan_records
+from repro.plugins import build_standard_environment
 from repro.replication import JournalShippingSource, ReplicationPrimary
+from repro.runtime import InstanceStatus, LifecycleManager, ShardedLifecycleManager
+from repro.runtime.rollup import PortfolioSummary
 from repro.serialization import (
     lifecycle_from_json,
     lifecycle_from_xml,
     lifecycle_to_json,
     lifecycle_to_xml,
 )
-from repro.storage import InMemoryRepository
+from repro.storage import ExecutionLog, InMemoryRepository
+from repro.templates.eu_deliverable import eu_deliverable_lifecycle
 
 # ------------------------------------------------------------------ strategies
 
@@ -282,3 +290,190 @@ class TestJournalStreamProperties:
                     stream.apply(op)
             finally:
                 stream.journal.close()
+
+
+# ------------------------------------------------------- portfolio roll-up
+
+def scan_portfolio(manager, model_uri=None, now=None) -> PortfolioSummary:
+    """Full-scan oracle: the portfolio summary as a loop over every instance
+    (how the cockpit computed it before the index kept roll-up counters)."""
+    now = now or manager.clock.now()
+    summary = PortfolioSummary()
+    for instance in manager.instances(model_uri=model_uri):
+        summary.total += 1
+        if instance.status is InstanceStatus.COMPLETED:
+            summary.completed += 1
+        elif instance.status is InstanceStatus.ACTIVE:
+            summary.active += 1
+        else:
+            summary.not_started += 1
+        phase = instance.current_phase()
+        visit = instance.current_visit()
+        if phase is not None and phase.deadline is not None and visit is not None \
+                and visit.is_open \
+                and phase.deadline.overdue_by(visit.entered_at, now).total_seconds() > 0:
+            summary.late += 1
+        if instance.deviations():
+            summary.with_deviations += 1
+        if instance.failed_invocations():
+            summary.with_failed_actions += 1
+        if any(a.kind == "escalation" for a in instance.annotations):
+            summary.escalated += 1
+        phase_name = phase.name if phase is not None else "(not started)"
+        summary.by_phase[phase_name] = summary.by_phase.get(phase_name, 0) + 1
+        summary.by_owner[instance.owner] = summary.by_owner.get(instance.owner, 0) + 1
+    return summary
+
+
+ROLLUP_OWNERS = ("ann", "bob", "cyd")
+ROLLUP_DEADLINES = {"elaboration": 1.0, "finalassembly": 2.0, "publication": 0.5}
+
+rollup_steps = st.lists(st.tuples(
+    st.sampled_from(["create", "advance", "move", "fail", "escalate", "note",
+                     "change", "swap", "tick", "checkpoint", "recover"]),
+    st.integers(0, 60)), min_size=1, max_size=30)
+
+
+class PortfolioRun:
+    """A runtime with durable persistence, driven step by step; after every
+    step its indexed portfolio summary is checked against the full scan."""
+
+    def __init__(self, root, sharded):
+        self.sharded = sharded
+        self.clock = SimulatedClock()
+        self.environment = build_standard_environment(clock=self.clock)
+        self.config = PersistenceConfig(root, backend="file", fsync="never")
+        self.manager, log = self._runtime()
+        self.coordinator = self._attach(self.manager, log)
+        # Without bound reviewers the Internal Review phase's "Notify
+        # reviewers" binding fails, so entering it records a failed invocation.
+        self.model = eu_deliverable_lifecycle(deadline_days=ROLLUP_DEADLINES)
+        self.other = (LifecycleBuilder("Side lifecycle")
+                      .phase("Draft", deadline_days=1.0).phase("Check")
+                      .terminal("Done").flow("Draft", "Check", "Done").build())
+        self.manager.publish_model(self.model, actor="pm")
+        self.manager.publish_model(self.other, actor="pm")
+        self.ids = []
+
+    def _runtime(self):
+        bus = EventBus()
+        if self.sharded:
+            manager = ShardedLifecycleManager(self.environment, shard_count=4,
+                                              clock=self.clock, bus=bus)
+        else:
+            manager = LifecycleManager(self.environment, clock=self.clock, bus=bus)
+        log = ExecutionLog(bus=bus)
+        return manager, log
+
+    def _attach(self, manager, log):
+        return PersistenceCoordinator(
+            manager, log, self.config.open_journal(), self.config.open_snapshots(),
+            self.config.open_store(), bus=manager.bus)
+
+    def apply(self, kind, pick):
+        manager = self.manager
+        if kind == "create" or not self.ids:
+            resource = self.environment.adapter("Google Doc").create_resource(
+                "doc {}".format(len(self.ids)), owner="pm")
+            owner = ROLLUP_OWNERS[pick % len(ROLLUP_OWNERS)]
+            self.ids.append(manager.instantiate(self.model.uri, resource,
+                                                owner=owner).instance_id)
+            return
+        instance_id = self.ids[pick % len(self.ids)]
+        instance = manager.instance(instance_id)
+        phase_ids = instance.model.phase_ids
+        if kind == "advance":
+            if instance.current_phase_id is None:
+                manager.start(instance_id, actor=instance.owner)
+                return
+            successors = instance.model.successors(instance.current_phase_id)
+            if successors:
+                manager.advance(instance_id, actor=instance.owner,
+                                to_phase_id=successors[pick % len(successors)].phase_id)
+        elif kind == "move":
+            manager.move_to(instance_id, actor=instance.owner,
+                            phase_id=phase_ids[pick % len(phase_ids)])
+        elif kind == "fail" and instance.model.has_phase("internalreview"):
+            manager.move_to(instance_id, actor=instance.owner, phase_id="internalreview")
+        elif kind in ("escalate", "note"):
+            manager.annotate(instance_id, "scheduler", "step {}".format(pick),
+                             kind="escalation" if kind == "escalate" else "note")
+        elif kind == "change":
+            self.accept_revision(instance_id, pick)
+        elif kind == "swap":
+            target = self.other if instance.model.uri == self.model.uri else self.model
+            manager.change_instance_model(
+                instance_id, instance.owner, target,
+                target_phase_id=target.phase_ids[pick % len(target.phase_ids)])
+        elif kind == "tick":
+            self.clock.advance(hours=6 * (1 + pick % 8))
+        elif kind == "checkpoint":
+            self.coordinator.checkpoint()
+        elif kind == "recover":
+            self.recover()
+
+    def accept_revision(self, instance_id, pick):
+        """Publish a revision of the instance's model (a renamed phase and a
+        moved deadline) and accept it for this instance with a target phase."""
+        current = self.manager.model(self.manager.instance(instance_id).model.uri)
+        revised = current.new_version(created_by="pm")
+        phase = revised.phases[pick % len(revised.phases)]
+        revised.rename_phase(phase.phase_id, "{} v{}".format(
+            phase.name.split(" v")[0], revised.version.version_number))
+        if not phase.terminal:
+            phase.deadline = None if phase.deadline is not None else Deadline(days=1.5)
+        proposals = self.manager.propose_change(revised, actor="pm",
+                                                instance_ids=[instance_id])
+        for proposal in proposals:
+            self.manager.accept_change(
+                proposal.proposal_id, actor="pm",
+                target_phase_id=revised.phase_ids[pick % len(revised.phase_ids)])
+
+    def recover(self):
+        """Drop the runtime and rebuild it from the last checkpoint plus the
+        journal tail."""
+        before = self.manager.portfolio_summary().to_dict()
+        self.coordinator.close()
+        manager, log = self._runtime()
+        report = recover_into(manager, log, self.config.open_journal(),
+                              self.config.open_snapshots(), self.config.open_store())
+        self.manager, self.coordinator = manager, self._attach(manager, log)
+        # As the service tier does: what the tail rebuilt goes into the
+        # next checkpoint.
+        for instance_id in report.touched_instance_ids:
+            self.coordinator.mark_dirty(instance_id)
+        after = manager.portfolio_summary().to_dict()
+        # action.* records are log-only, so a failed invocation in the
+        # journal tail is not replayed; everything else must survive.
+        before.pop("with_failed_actions")
+        after.pop("with_failed_actions")
+        assert after == before
+
+    def check(self):
+        manager = self.manager
+        for model_uri in (None, self.model.uri, self.other.uri):
+            expected = scan_portfolio(manager, model_uri).to_dict()
+            assert manager.portfolio_summary(model_uri).to_dict() == expected
+            cockpit = MonitoringCockpit(manager)
+            assert cockpit.portfolio_summary(model_uri).to_dict() == expected
+            deadlines = cockpit.deadline_rollup(model_uri)
+            assert deadlines["overdue"] == expected["late"]
+            assert deadlines["escalated"] == expected["escalated"]
+            total = expected["total"]
+            assert cockpit.completion_rate(model_uri) == \
+                (expected["completed"] / total if total else 0.0)
+
+
+class TestPortfolioRollupProperties:
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    @given(steps=rollup_steps)
+    @settings(max_examples=20, deadline=None)
+    def test_indexed_summary_equals_a_full_scan(self, sharded, steps):
+        with tempfile.TemporaryDirectory(prefix="gelee-rollup-") as root:
+            run = PortfolioRun(root, sharded)
+            try:
+                for kind, pick in steps:
+                    run.apply(kind, pick)
+                    run.check()
+            finally:
+                run.coordinator.close()

@@ -552,6 +552,59 @@ class TestPromotion:
 
 
 # ============================================================ misc plumbing
+class TestReplicaPortfolioSummary:
+    #: ``with_failed_actions`` is left out: ``action.*`` records are
+    #: log-only, so a replica never replays invocation outcomes.
+    FIELDS = ("total", "active", "completed", "not_started", "late",
+              "with_deviations", "escalated", "by_phase", "by_owner")
+
+    def summary(self, service):
+        data = service.cockpit.portfolio_summary().to_dict()
+        return {field: data[field] for field in self.FIELDS}
+
+    def test_replica_summary_equals_primary_at_equal_seq_and_after_promote(self, root):
+        clock = SimulatedClock()
+        config, primary = build_primary(root, clock=clock)
+        manager = primary.manager
+        model = replication_model()
+        manager.publish_model(model, actor="alice")
+        ids = seed_instances(primary, model, 12)
+        manager.advance(ids[0], actor="alice", to_phase_id="review")
+        manager.move_to(ids[1], actor="alice", phase_id="done")  # off-model
+        manager.annotate(ids[2], "scheduler", "deadline passed", kind="escalation")
+        # Half the history reaches the replica through the snapshot, half
+        # through the journal tail.
+        primary.persistence.checkpoint()
+        revised = model.new_version(created_by="alice")
+        revised.rename_phase("review", "Peer review")
+        proposal = manager.propose_change(revised, actor="alice",
+                                          instance_ids=[ids[3]])[0]
+        manager.accept_change(proposal.proposal_id, actor="alice",
+                              target_phase_id="review")
+        manager.move_to(ids[4], actor="alice", phase_id="done")
+        manager.annotate(ids[5], "scheduler", "deadline passed", kind="escalation")
+        instance = manager.instantiate(
+            model.uri, primary.environment.adapter("Google Doc").create_resource(
+                "late start", owner="bob"), owner="bob")
+        clock.advance(days=1)
+        manager.start(instance.instance_id, actor="bob")
+        clock.advance(days=1, hours=12)  # the first Draft deadlines passed
+
+        replica = ReadReplica(JournalShippingSource(config), shard_count=4,
+                              clock=clock)
+        replica.sync()
+        assert replica.applied_seq == primary.persistence.journal.last_seq
+        expected = self.summary(primary)
+        assert expected["late"] == 8  # on Draft since seeding; not the late start
+        assert expected["with_deviations"] == 2
+        assert expected["escalated"] == 2
+        assert expected["by_phase"]["Peer review"] == 1
+        assert self.summary(replica.service) == expected
+
+        replica.promote()
+        assert self.summary(replica.service) == expected
+
+
 class TestWiring:
     def test_primary_requires_persistence(self):
         service = GeleeService(shard_count=2)
