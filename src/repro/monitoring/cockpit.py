@@ -172,148 +172,6 @@ class MonitoringCockpit:
             rollup["next_fire_at"] = status["next_fire_at"]
         return rollup
 
-    def replication_rollup(self, replication) -> Dict[str, object]:
-        """One-look replication health for the cockpit.
-
-        ``replication`` is the deployment's attachment — a
-        :class:`~repro.replication.ReadReplica` (stream position + lag) or
-        a :class:`~repro.replication.ReplicationPrimary` (follower lag
-        table).  Only the at-a-glance figures are kept; the full picture
-        lives at ``GET /v2/runtime/replication``.
-        """
-        status = replication.status()
-        keys = ("role", "applied_seq", "head_seq", "lag_records",
-                "lag_seconds", "promoted", "journal_seq", "followers",
-                "max_follower_lag")
-        return {key: status[key] for key in keys if key in status}
-
-    def coordination_rollup(self, coordination) -> Dict[str, object]:
-        """One-look election health for the cockpit.
-
-        ``coordination`` is the node's attachment — the
-        :class:`~repro.coordination.Coordinator` of an enrolled primary or
-        the :class:`~repro.coordination.FailoverSupervisor` of a standby.
-        Who leads, at what epoch, how long the lease has left, and how
-        often power changed hands; the full picture lives at
-        ``GET /v2/runtime/coordination``.
-        """
-        status = coordination.status()
-        keys = ("role", "is_leader", "leader_id", "node_id", "token",
-                "latest_token", "ttl_seconds", "lease_expires_in",
-                "elections", "depositions", "failovers", "demotions",
-                "fenced_appends")
-        return {key: status[key] for key in keys if key in status}
-
-    def telemetry_rollup(self, registry) -> Dict[str, object]:
-        """One-look telemetry health for the cockpit.
-
-        ``registry`` is the process :class:`~repro.telemetry.MetricsRegistry`.
-        Only the headline figures are kept — request volume, dispatch
-        latency, journal position, replication lag and election churn;
-        the full exposition lives at ``GET /v2/metrics`` and the
-        structured snapshot at ``GET /v2/runtime/telemetry``.
-        """
-        rollup: Dict[str, object] = {"enabled": registry.enabled}
-
-        def total(name):
-            instrument = registry.get(name)
-            if instrument is None:
-                return 0.0
-            snapshot = instrument.snapshot()
-            if snapshot["type"] == "histogram":
-                return sum(series["count"] for series in snapshot["series"])
-            return sum(series["value"] for series in snapshot["series"])
-
-        def gauge_value(name):
-            instrument = registry.get(name)
-            if instrument is None:
-                return None
-            series = instrument.snapshot()["series"]
-            return series[0]["value"] if series else None
-
-        rollup["api_requests"] = total("gelee_api_requests_total")
-        rollup["actions_completed"] = total("gelee_dispatch_completed_total")
-        rollup["timers_fired"] = total("gelee_timers_fired_total")
-        rollup["fencing_rejections"] = total("gelee_fencing_rejections_total")
-        rollup["election_transitions"] = total(
-            "gelee_election_transitions_total")
-        for key, name in (("in_flight", "gelee_dispatch_in_flight"),
-                          ("journal_last_seq", "gelee_journal_last_seq"),
-                          ("replication_lag_records",
-                           "gelee_replication_lag_records")):
-            value = gauge_value(name)
-            if value is not None:
-                rollup[key] = value
-        for key, name in (
-                ("dispatch_wait_mean_seconds", "gelee_dispatch_wait_seconds"),
-                ("lock_wait_mean_seconds", "gelee_lock_wait_seconds")):
-            histogram = registry.get(name)
-            if histogram is None:
-                continue
-            cell = histogram.snapshot()
-            counts = sum(series["count"] for series in cell["series"])
-            sums = sum(series["sum"] for series in cell["series"])
-            rollup[key] = sums / counts if counts else 0.0
-        return rollup
-
-    def observability_rollup(self, history, log_ring,
-                             profiler) -> Dict[str, object]:
-        """One-look status of the second observability layer.
-
-        How far back the history rings reach, how full the log ring is
-        and whether the stack sampler is on — enough for the cockpit to
-        say "the flight recorder is running" without shipping any of the
-        recorded data (that lives at ``GET /v2/runtime/telemetry/history``,
-        ``/v2/runtime/logs`` and ``/v2/runtime/profile``).
-        """
-        rollup: Dict[str, object] = {}
-        if history is not None:
-            stats = history.stats()
-            rollup["history"] = {
-                "enabled": stats["enabled"],
-                "captures": stats["captures"],
-                "series": stats["series"],
-                "last_capture_at": stats["last_capture_at"],
-            }
-        if log_ring is not None:
-            stats = log_ring.stats()
-            rollup["logs"] = {
-                "enabled": stats["enabled"],
-                "size": stats["size"],
-                "capacity": stats["capacity"],
-                "dropped": stats["dropped"],
-            }
-        if profiler is not None:
-            rollup["profiler"] = {
-                "running": profiler.running,
-                "samples": profiler.status()["samples"],
-            }
-        return rollup
-
-    def alerts_rollup(self, engine) -> Dict[str, object]:
-        """One-look SLO health for the cockpit.
-
-        ``engine`` is the service's :class:`~repro.telemetry.SloEngine`.
-        How many rules exist, how many are firing (and which, with their
-        severities) and when the last evaluation ran; the full per-rule
-        state lives at ``GET /v2/runtime/alerts``.
-        """
-        status = engine.status()
-        firing = [alert for alert in status["alerts"]
-                  if alert["state"] == "firing"]
-        return {
-            "rules": len(status["rules"]),
-            "firing": len(firing),
-            "firing_rules": [{"rule": alert["rule"],
-                              "severity": alert["severity"],
-                              "value": alert["value"],
-                              "threshold": alert["threshold"],
-                              "fired_at": alert["fired_at"]}
-                             for alert in firing],
-            "evaluations": status["evaluations"],
-            "last_evaluated_at": status["last_evaluated_at"],
-        }
-
     def deviating_instances(self, model_uri: str = None) -> List[LifecycleInstance]:
         """Instances that left the modelled flow at least once."""
         return [instance for instance in self._manager.instances(model_uri=model_uri)

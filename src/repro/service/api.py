@@ -54,6 +54,43 @@ from .v2.operations import Operation, OperationStore
 from .v2.pagination import PageInfo, PageRequest, decode_cursor, encode_cursor, paginate
 
 
+def _pick(document: Dict[str, Any], keys: Tuple[str, ...]) -> Dict[str, Any]:
+    """The at-a-glance subset of a subsystem's status document."""
+    return {key: document[key] for key in keys if key in document}
+
+
+def _telemetry_headline(registry) -> Dict[str, Any]:
+    """Request volume, dispatch latency, journal position, replication lag
+    and election churn; the full snapshot lives at ``/v2/runtime/telemetry``."""
+    def series(name):
+        instrument = registry.get(name)
+        return None if instrument is None else instrument.snapshot()["series"]
+
+    headline: Dict[str, Any] = {"enabled": registry.enabled}
+    for key, name in (("api_requests", "gelee_api_requests_total"),
+                      ("actions_completed", "gelee_dispatch_completed_total"),
+                      ("timers_fired", "gelee_timers_fired_total"),
+                      ("fencing_rejections", "gelee_fencing_rejections_total"),
+                      ("election_transitions",
+                       "gelee_election_transitions_total")):
+        rows = series(name)
+        headline[key] = sum(row["value"] for row in rows) if rows is not None else 0.0
+    for key, name in (("in_flight", "gelee_dispatch_in_flight"),
+                      ("journal_last_seq", "gelee_journal_last_seq"),
+                      ("replication_lag_records",
+                       "gelee_replication_lag_records")):
+        rows = series(name)
+        if rows:
+            headline[key] = rows[0]["value"]
+    for key, name in (("dispatch_wait_mean_seconds", "gelee_dispatch_wait_seconds"),
+                      ("lock_wait_mean_seconds", "gelee_lock_wait_seconds")):
+        rows = series(name)
+        if rows is not None:
+            count = sum(row["count"] for row in rows)
+            headline[key] = sum(row["sum"] for row in rows) / count if count else 0.0
+    return headline
+
+
 class GeleeService:
     """Application service: the operations the hosted platform offers."""
 
@@ -445,18 +482,13 @@ class GeleeService:
 
     # -------------------------------------------------------------- monitoring
     def monitoring_summary(self, model_uri: str = None) -> Dict[str, Any]:
+        """The portfolio roll-up plus this node's health blocks."""
         summary = self.cockpit.portfolio_summary(model_uri=model_uri).to_dict()
-        if self.replication is not None:
-            summary["replication"] = self.cockpit.replication_rollup(
-                self.replication)
-        if self.coordination is not None:
-            summary["coordination"] = self.cockpit.coordination_rollup(
-                self.coordination)
-        self._refresh_telemetry_gauges()
-        summary["telemetry"] = self.cockpit.telemetry_rollup(get_registry())
-        summary["alerts"] = self.cockpit.alerts_rollup(self.slo)
-        summary["observability"] = self.cockpit.observability_rollup(
-            self.history, get_log_ring(), self.profiler)
+        node = self.node_status()
+        for block in ("replication", "coordination", "telemetry", "alerts",
+                      "observability"):
+            if block in node:
+                summary[block] = node[block]
         return summary
 
     def monitoring_table(self, model_uri: str = None, owner: str = None) -> List[Dict[str, Any]]:
@@ -489,7 +521,9 @@ class GeleeService:
         stats["persistence_enabled"] = self.persistence is not None
         stats["scheduler_enabled"] = self.scheduler.config.enabled
         stats["pending_timers"] = self.scheduler.timers.pending_count
-        stats["read_only"] = self.read_only
+        identity = self._identity()
+        stats["node_id"] = identity["node_id"]
+        stats["read_only"] = identity["read_only"]
         # Completion-based dispatch figures (docs/DISPATCH.md).  The
         # ``dispatch`` block is the *stable* schema — identical keys on the
         # single-manager and sharded paths, so dashboards never branch on
@@ -512,9 +546,7 @@ class GeleeService:
         operations_pool = self.operations.pool_stats()
         if operations_pool is not None:
             stats["operations_pool"] = operations_pool
-        stats["replication_role"] = (
-            self.replication.role if self.replication is not None
-            else ("replica" if self.read_only else "primary"))
+        stats["replication_role"] = identity["role"]
         stats["coordination_enabled"] = self.coordination is not None
         if self.coordination is not None:
             status = self.coordination.status()
@@ -580,13 +612,8 @@ class GeleeService:
         self._refresh_telemetry_gauges()
         snapshot = get_registry().snapshot()
         snapshot["captured_at"] = self.manager.clock.now().isoformat()
-        snapshot["node"] = {
-            "node_id": self._node_id(),
-            "read_only": self.read_only,
-            "replication_role": (
-                self.replication.role if self.replication is not None
-                else ("replica" if self.read_only else "primary")),
-        }
+        identity = self._identity()
+        snapshot["node"] = dict(identity, replication_role=identity["role"])
         return snapshot
 
     def _node_id(self) -> Optional[str]:
@@ -668,44 +695,75 @@ class GeleeService:
                 "records": records}
 
     # ---------------------------------------------------------------- cluster
-    def cluster_self_summary(self) -> Dict[str, Any]:
-        """This node's row in the federated cluster view."""
-        self._refresh_telemetry_gauges()
-        alerts = self.slo.status()
-        firing = [alert["rule"] for alert in alerts["alerts"]
-                  if alert["state"] == "firing"]
-        summary: Dict[str, Any] = {
+    def _identity(self) -> Dict[str, Any]:
+        """Who this node is, as every status route reports it."""
+        return {
             "node_id": self._node_id(),
             "role": (self.replication.role if self.replication is not None
                      else ("replica" if self.read_only else "primary")),
             "read_only": self.read_only,
             "primary_hint": self.primary_hint,
-            "instances": self.manager.instance_count(),
-            "pending_timers": self.scheduler.timers.pending_count,
-            "alerts": {"firing": len(firing), "names": firing},
-            "history": {key: self.history.stats()[key]
-                        for key in ("captures", "series", "last_capture_at")},
-            "deltas": self.history.recent_deltas(KEY_DELTA_PREFIXES),
-            "captured_at": self.manager.clock.now().isoformat(),
         }
+
+    def node_status(self) -> Dict[str, Any]:
+        """This node's status document (``GET /v2/runtime/cluster/self``).
+
+        Identity, counts, recent counter deltas and one block per
+        subsystem, each read from that subsystem's own ``status()`` or
+        ``stats()``.  The cluster view merges these documents across nodes
+        and the monitoring summary shows the health blocks; the full
+        picture of each subsystem stays on its own route.
+        """
+        self._refresh_telemetry_gauges()
+        status = self._identity()
+        status["captured_at"] = self.manager.clock.now().isoformat()
+        status["instances"] = self.manager.instance_count()
+        status["pending_timers"] = self.scheduler.timers.pending_count
         if self.persistence is not None:
-            summary["journal_seq"] = self.persistence.journal.last_seq
+            status["journal_seq"] = self.persistence.journal.last_seq
+        status["deltas"] = self.history.recent_deltas(KEY_DELTA_PREFIXES)
         if self.replication is not None:
-            replication = self.replication.status()
-            summary["replication"] = {
-                key: replication[key] for key in
-                ("role", "lag_records", "max_follower_lag", "applied_seq",
-                 "journal_seq") if key in replication}
+            status["replication"] = _pick(
+                self.replication.status(),
+                ("role", "applied_seq", "head_seq", "lag_records",
+                 "lag_seconds", "promoted", "journal_seq", "followers",
+                 "max_follower_lag"))
         if self.coordination is not None:
             try:
                 coordination = self.coordination.status()
             except GeleeError:
                 coordination = {}
-            summary["coordination"] = {
-                key: coordination[key] for key in ("role", "leader_id",
-                                                   "is_leader")
-                if key in coordination}
-        return summary
+            status["coordination"] = _pick(
+                coordination,
+                ("role", "is_leader", "leader_id", "node_id", "token",
+                 "latest_token", "ttl_seconds", "lease_expires_in",
+                 "elections", "depositions", "failovers", "demotions",
+                 "fenced_appends"))
+        status["telemetry"] = _telemetry_headline(get_registry())
+        alerts = self.slo.status()
+        firing = [alert for alert in alerts["alerts"]
+                  if alert["state"] == "firing"]
+        status["alerts"] = {
+            "rules": len(alerts["rules"]),
+            "firing": len(firing),
+            "names": [alert["rule"] for alert in firing],
+            "firing_rules": [_pick(alert, ("rule", "severity", "value",
+                                           "threshold", "fired_at"))
+                             for alert in firing],
+            "evaluations": alerts["evaluations"],
+            "last_evaluated_at": alerts["last_evaluated_at"],
+        }
+        history = _pick(self.history.stats(),
+                        ("enabled", "captures", "series", "last_capture_at"))
+        status["history"] = history
+        status["observability"] = {
+            "history": history,
+            "logs": _pick(get_log_ring().stats(),
+                          ("enabled", "size", "capacity", "dropped")),
+            "profiler": {"running": self.profiler.running,
+                         "samples": self.profiler.status()["samples"]},
+        }
+        return status
 
     def cluster_status(self) -> Dict[str, Any]:
         """The merged multi-node view for ``GET /v2/runtime/cluster``."""

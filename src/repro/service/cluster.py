@@ -93,7 +93,7 @@ class ClusterView:
 
     def status(self) -> Dict[str, Any]:
         """The merged cluster envelope; partial over unreachable peers."""
-        own = self._service.cluster_self_summary()
+        own = self._service.node_status()
         own_row = dict(own)
         own_row["reachable"] = True
         own_row["via"] = "self"

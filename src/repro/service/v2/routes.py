@@ -223,11 +223,12 @@ def install(router) -> None:
             limit=req.int_param("limit", minimum=1))))
     # Cluster federation: /cluster fans out to every registered peer and
     # merges (partial over NODE_UNREACHABLE rows, never a failed
-    # envelope); /cluster/self is the per-node row the fan-out fetches.
+    # envelope); /cluster/self is this node's status document, the row the
+    # fan-out fetches.
     add("GET", "/v2/runtime/cluster", lambda req, p: ok(
         req, service.cluster_status()))
     add("GET", "/v2/runtime/cluster/self", lambda req, p: ok(
-        req, service.cluster_self_summary()))
+        req, service.node_status()))
     add("POST", "/v2/runtime/cluster:register", lambda req, p: ok(
         req, service.cluster_register(
             node_id=service.require(req.param("node_id"), "node_id"),

@@ -1,7 +1,7 @@
 """Process-wide telemetry: metrics, span traces, SLO alerts, JSON logs.
 
 The paper's monitoring chapter reads lifecycle *state*; this package
-measures the machine that serves it.  Five small, dependency-free parts:
+measures the machine that serves it.  Small, dependency-free parts:
 
 * :mod:`repro.telemetry.registry` — a thread-safe
   :class:`MetricsRegistry` of counters, gauges and fixed-bucket
@@ -16,7 +16,11 @@ measures the machine that serves it.  Five small, dependency-free parts:
   exemplars) retrievable via ``GET /v2/runtime/traces/{trace_id}``.
 * :mod:`repro.telemetry.slo` — declarative :class:`SloRule`\\ s evaluated
   against registry snapshots; threshold edges publish ``alert.fired`` /
-  ``alert.resolved`` bus events and feed the cockpit's alerts roll-up.
+  ``alert.resolved`` bus events and feed the node status document's
+  alerts block.
+* :mod:`repro.telemetry.window` — the interval arithmetic the SLO engine
+  and the history rings share: cumulative readings to windows, resets,
+  and the bucket-upper-bound quantile.
 * :mod:`repro.telemetry.log` — a structured JSON log emitter that stamps
   every record with the active trace id.
 * :mod:`repro.telemetry.logring` — a bounded in-memory ring every

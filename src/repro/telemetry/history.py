@@ -7,16 +7,19 @@ to a :class:`~repro.telemetry.registry.MetricsRegistry` and, on every
 maintenance job), walks the registry snapshot and appends one point per
 series to a preallocated ring:
 
-* **counters** record the *delta* since the previous capture (a decrease
-  is treated as a process restart: the new cumulative value becomes the
-  whole delta, never a negative point);
+* **counters** record the *delta* since the previous capture;
 * **gauges** record the raw value;
 * **histograms** fan out into derived series — ``:rate`` (observation
   count this interval), ``:mean`` (interval mean) and one ``:p<q>``
   series per configured quantile, estimated from per-interval bucket
-  deltas the same way the SLO engine does (the reported value is the
-  upper bound of the bucket containing the quantile, ``inf`` when it
-  landed past the last bound).
+  deltas (the upper bound of the bucket containing the quantile, ``inf``
+  when it landed past the last bound).
+
+Deltas, reset handling and the quantile estimate come from
+:mod:`repro.telemetry.window`, the same code the SLO engine evaluates
+its windows with: a decrease (or a changed bucket layout) is a process
+restart, and the new cumulative value becomes the whole delta, never a
+negative point.
 
 Every series keeps two tiers: the **raw** ring (one point per capture)
 and a **downsampled** ring — every ``downsample_every`` raw points are
@@ -33,6 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..clock import Clock, SystemClock
 from .registry import MetricsRegistry
+from .window import Reading, histogram_reading, interval, quantile_bound
 
 __all__ = ["MetricHistory"]
 
@@ -43,14 +47,6 @@ def _series_key(name: str, labels: Dict[str, Any]) -> str:
     rendered = ",".join('{}="{}"'.format(key, labels[key])
                         for key in sorted(labels))
     return "{}{{{}}}".format(name, rendered)
-
-
-def _parse_bound(text: str) -> float:
-    if text == "+Inf":
-        return float("inf")
-    if text == "-Inf":
-        return float("-inf")
-    return float(text)
 
 
 class _Ring:
@@ -137,10 +133,9 @@ class MetricHistory:
         self._max_series = int(max_series)
         self._lock = threading.Lock()
         self._series: Dict[str, _Series] = {}
-        # Previous cumulative state, keyed by series: counters map to a
-        # float, histograms to (count, sum, {bound: count}).
-        self._last_counter: Dict[str, float] = {}
-        self._last_histogram: Dict[str, Tuple[int, float, Dict[str, int]]] = {}
+        # The previous cumulative reading of every counter and histogram
+        # series, the baseline its next interval starts from.
+        self._baselines: Dict[str, Reading] = {}
         self._captures = 0
         self._last_capture_at: Optional[float] = None
         self._dropped_series = 0
@@ -171,53 +166,26 @@ class MetricHistory:
             self._last_capture_at = now
         return recorded
 
+    def _interval(self, key: str, reading: Reading) -> Reading:
+        window = interval(self._baselines.get(key), reading)
+        self._baselines[key] = reading
+        return window
+
     def _capture_counter(self, key: str, ts: float, value: float) -> int:
-        previous = self._last_counter.get(key)
-        self._last_counter[key] = value
-        if previous is None or value < previous:
-            # First sight or a reset: the cumulative value is the delta.
-            delta = value
-        else:
-            delta = value - previous
-        return self._record(key, "counter", ts, delta)
+        return self._record(key, "counter", ts,
+                            self._interval(key, Reading(value)).count)
 
     def _capture_histogram(self, key: str, ts: float,
                            series: Dict[str, Any]) -> int:
-        count = series["count"]
-        total = series["sum"]
-        buckets = dict(series["buckets"])
-        previous = self._last_histogram.get(key)
-        self._last_histogram[key] = (count, total, buckets)
-        if previous is None or count < previous[0]:
-            count_delta, sum_delta = count, total
-            bucket_deltas = buckets
-        else:
-            count_delta = count - previous[0]
-            sum_delta = total - previous[1]
-            bucket_deltas = {bound: buckets.get(bound, 0) - previous[2].get(bound, 0)
-                             for bound in buckets}
-        recorded = self._record(key + ":rate", "histogram", ts, count_delta)
-        mean = (sum_delta / count_delta) if count_delta > 0 else 0.0
+        window = self._interval(key, histogram_reading((series,)))
+        recorded = self._record(key + ":rate", "histogram", ts, window.count)
+        mean = (window.total / window.count) if window.count > 0 else 0.0
         recorded += self._record(key + ":mean", "histogram", ts, mean)
         for quantile in self._quantiles:
-            value = self._quantile_bound(bucket_deltas, count_delta, quantile)
             recorded += self._record(
-                "{}:p{:g}".format(key, quantile * 100), "histogram", ts, value)
+                "{}:p{:g}".format(key, quantile * 100), "histogram", ts,
+                quantile_bound(window, quantile))
         return recorded
-
-    @staticmethod
-    def _quantile_bound(bucket_deltas: Dict[str, int], count_delta: int,
-                        quantile: float) -> float:
-        """The bucket upper bound holding the quantile of this interval."""
-        if count_delta <= 0:
-            return 0.0
-        rank = quantile * count_delta
-        cumulative = 0
-        for bound_text in sorted(bucket_deltas, key=_parse_bound):
-            cumulative += bucket_deltas[bound_text]
-            if cumulative >= rank:
-                return _parse_bound(bound_text)
-        return float("inf")  # landed in the implicit +Inf bucket
 
     def _record(self, key: str, kind: str, ts: float, value: float) -> int:
         series = self._series.get(key)
@@ -330,8 +298,7 @@ class MetricHistory:
     def reset(self) -> None:
         with self._lock:
             self._series.clear()
-            self._last_counter.clear()
-            self._last_histogram.clear()
+            self._baselines.clear()
             self._captures = 0
             self._last_capture_at = None
             self._dropped_series = 0

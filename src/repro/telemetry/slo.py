@@ -30,10 +30,15 @@ Rule kinds:
     Liveness stall: the election-heartbeat histogram saw samples before
     but none since the last evaluation — renewals have stopped.
 
-Windowed kinds *hold* their state (no transition) when the window has
+Windowed kinds *hold* their state (no transition) while the window has
 fewer than ``min_samples`` samples, so an idle service neither fires nor
-flaps.  Gauge kinds clear when the backing instrument disappears (a
-promoted replica stops having lag).
+flaps.  A held window keeps its baseline, so samples from evaluations too
+small to judge on their own add up until the window is full.  The
+window arithmetic (deltas, resets, bucket quantiles) is
+:mod:`repro.telemetry.window`, shared with the history rings; each rule
+keeps its own baseline, so evaluation never depends on history captures.
+Gauge kinds clear when the backing instrument disappears (a promoted
+replica stops having lag).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clock import Clock, SystemClock
 from .registry import MetricsRegistry, get_registry
+from .window import Reading, histogram_reading, interval, is_reset, quantile_bound
 
 __all__ = ["AlertState", "SloEngine", "SloRule", "default_slo_rules"]
 
@@ -107,7 +113,7 @@ class AlertState:
     """The evaluated side of one rule: ok/firing plus transition history."""
 
     __slots__ = ("rule", "state", "value", "fired_at", "resolved_at",
-                 "fired_count", "last_evaluated_at")
+                 "fired_count", "last_evaluated_at", "baseline")
 
     def __init__(self, rule: SloRule):
         self.rule = rule
@@ -117,6 +123,8 @@ class AlertState:
         self.resolved_at: Optional[str] = None
         self.fired_count = 0
         self.last_evaluated_at: Optional[str] = None
+        #: The cumulative reading the rule's current window starts from.
+        self.baseline: Optional[Reading] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -181,7 +189,6 @@ class SloEngine:
         self._refresh = refresh
         self._lock = threading.RLock()
         self._states: Dict[str, AlertState] = {}
-        self._windows: Dict[str, Tuple[float, ...]] = {}
         self._evaluations = 0
         self._last_evaluated_at: Optional[str] = None
         for rule in (rules if rules is not None else default_slo_rules()):
@@ -198,7 +205,6 @@ class SloEngine:
     def remove_rule(self, name: str) -> None:
         with self._lock:
             self._states.pop(name, None)
-            self._windows.pop(name, None)
 
     @property
     def rules(self) -> List[SloRule]:
@@ -219,7 +225,7 @@ class SloEngine:
             self._evaluations += 1
             self._last_evaluated_at = now
             for state in self._states.values():
-                outcome = self._evaluate_rule(state.rule, metrics)
+                outcome = self._evaluate_rule(state, metrics)
                 state.last_evaluated_at = now
                 if outcome is None:
                     continue  # window too small: hold, neither fire nor flap
@@ -259,84 +265,58 @@ class SloEngine:
                     "description": state.rule.description,
                 }}
 
-    def _evaluate_rule(self, rule: SloRule,
+    def _evaluate_rule(self, state: AlertState,
                        metrics: Dict[str, Any]) -> Optional[Tuple[Optional[float], bool]]:
+        rule = state.rule
         metric = metrics.get(rule.metric)
-        if rule.kind == "error-rate":
-            return self._eval_error_rate(rule, metric)
-        if rule.kind == "latency-quantile":
-            return self._eval_latency_quantile(rule, metric)
-        if rule.kind == "heartbeat-miss":
-            return self._eval_heartbeat_miss(rule, metric)
-        # Gauge kinds: absent instrument clears (a promoted replica has
-        # no lag gauge to be behind on).
-        if metric is None or not metric["series"]:
+        # An absent instrument clears (a promoted replica has no lag gauge
+        # to be behind on).
+        if metric is None:
             return (None, False)
+        if rule.kind == "error-rate":
+            return self._eval_windowed(state, self._request_reading(rule, metric))
+        if rule.kind == "latency-quantile":
+            return self._eval_windowed(state, histogram_reading(metric["series"]))
+        if not metric["series"]:
+            return (None, False)
+        if rule.kind == "heartbeat-miss":
+            return self._eval_heartbeat_miss(
+                state, histogram_reading(metric["series"]))
         value = max(series["value"] for series in metric["series"])
         return (value, value > rule.threshold)
 
-    def _eval_error_rate(self, rule: SloRule,
-                         metric: Optional[Dict[str, Any]]) -> Optional[Tuple[Optional[float], bool]]:
-        if metric is None:
-            return (None, False)
-        total = sum(series["value"] for series in metric["series"])
-        errors = sum(
-            series["value"] for series in metric["series"]
-            if str(series["labels"].get("status", "")).startswith(
-                rule.error_status_prefixes))
-        previous = self._windows.get(rule.name, (0.0, 0.0))
-        self._windows[rule.name] = (errors, total)
-        delta_errors = errors - previous[0]
-        delta_total = total - previous[1]
-        if delta_total < 0:  # counter reset (registry swap): restart window
-            delta_errors, delta_total = errors, total
-        if delta_total < rule.min_samples:
-            return None
-        rate = delta_errors / delta_total
-        return (round(rate, 4), rate > rule.threshold)
+    @staticmethod
+    def _request_reading(rule: SloRule, metric: Dict[str, Any]) -> Reading:
+        """Requests as the count, error-status requests as the total."""
+        series = metric["series"]
+        return Reading(
+            sum(row["value"] for row in series),
+            sum(row["value"] for row in series
+                if str(row["labels"].get("status", "")).startswith(
+                    rule.error_status_prefixes)))
 
-    def _eval_latency_quantile(self, rule: SloRule,
-                               metric: Optional[Dict[str, Any]]) -> Optional[Tuple[Optional[float], bool]]:
-        if metric is None:
-            return (None, False)
-        # Merge every series of the histogram into one windowed bucket view.
-        count = 0
-        buckets: Dict[float, float] = {}
-        for series in metric["series"]:
-            count += series["count"]
-            for bound, bucket_count in series["buckets"].items():
-                numeric = float(bound)
-                buckets[numeric] = buckets.get(numeric, 0.0) + bucket_count
-        previous = self._windows.get(rule.name)
-        flattened = tuple([count] + [buckets[bound] for bound in sorted(buckets)])
-        self._windows[rule.name] = flattened
-        if previous is None or len(previous) != len(flattened) or previous[0] > count:
-            previous = (0.0,) * len(flattened)
-        delta_count = count - previous[0]
-        if delta_count < rule.min_samples:
-            return None
-        target = rule.quantile * delta_count
-        cumulative = 0.0
-        for index, bound in enumerate(sorted(buckets)):
-            cumulative += flattened[index + 1] - previous[index + 1]
-            if cumulative >= target:
-                return (bound, bound > rule.threshold)
-        # Quantile falls in the implicit +Inf bucket: past every bound.
-        return (float("inf"), True)
+    @staticmethod
+    def _eval_windowed(state: AlertState,
+                       reading: Reading) -> Optional[Tuple[Optional[float], bool]]:
+        rule = state.rule
+        window = interval(state.baseline, reading)
+        if window.count < rule.min_samples:
+            return None  # hold, and keep the baseline so the window fills
+        state.baseline = reading
+        if rule.kind == "error-rate":
+            rate = window.total / window.count
+            return (round(rate, 4), rate > rule.threshold)
+        value = quantile_bound(window, rule.quantile)
+        return (value, value > rule.threshold)
 
-    def _eval_heartbeat_miss(self, rule: SloRule,
-                             metric: Optional[Dict[str, Any]]) -> Optional[Tuple[Optional[float], bool]]:
-        if metric is None or not metric["series"]:
-            return (None, False)
-        count = sum(series["count"] for series in metric["series"])
-        previous = self._windows.get(rule.name)
-        self._windows[rule.name] = (count,)
-        if previous is None:
-            return None  # first sighting: establish the baseline, hold
-        delta = count - previous[0]
-        if delta < 0:
-            return None
-        return (float(delta), delta == 0 and previous[0] > 0)
+    @staticmethod
+    def _eval_heartbeat_miss(state: AlertState,
+                             reading: Reading) -> Optional[Tuple[Optional[float], bool]]:
+        previous, state.baseline = state.baseline, reading
+        if previous is None or is_reset(previous, reading):
+            return None  # first sighting or a restarted count: re-baseline, hold
+        delta = reading.count - previous.count
+        return (float(delta), delta == 0 and previous.count > 0)
 
     # --------------------------------------------------------------- surface
     def firing(self) -> List[Dict[str, Any]]:

@@ -912,6 +912,128 @@ class TestSloEngine:
         assert status["evaluations"] == 1
         assert status["last_evaluated_at"] is not None
 
+    # -- window semantics shared with MetricHistory -------------------------
+    def _swap_registry(self, *users):
+        """Rebuild the process registry (as a rebuilt node does) and rebind
+        the given engines and histories to it."""
+        set_registry(MetricsRegistry())
+        for user in users:
+            user._registry = get_registry()
+        return get_registry()
+
+    def test_error_rate_window_across_registry_swap(self):
+        counter = get_registry().counter(
+            "gelee_api_requests_total", "Demo.", labelnames=("route", "status"))
+        engine = self._engine(
+            [SloRule("err", "error-rate", threshold=0.5, min_samples=1)])
+        history = MetricHistory(get_registry(), clock=SimulatedClock())
+        counter.inc(30, route="GET /x", status="500")
+        assert engine.evaluate()["firing"][0]["value"] == 1.0
+        history.capture()
+        # The rebuilt registry restarts below the old total (25 < 30): the
+        # new cumulative reading is the whole window, never a negative one.
+        counter = self._swap_registry(engine, history).counter(
+            "gelee_api_requests_total", "Demo.", labelnames=("route", "status"))
+        counter.inc(20, route="GET /x", status="200")
+        counter.inc(5, route="GET /x", status="500")
+        result = engine.evaluate()
+        assert [t["kind"] for t in result["transitions"]] == ["alert.resolved"]
+        (alert,) = engine.status()["alerts"]
+        assert alert["value"] == 0.2
+        history.capture()
+        rows = {row["name"]: row["points"] for row in history.query(
+            series="gelee_api_requests_total")["series"]}
+        errors = rows['gelee_api_requests_total{route="GET /x",status="500"}']
+        assert [value for _, value in errors] == [30.0, 5.0]
+
+    def test_latency_quantile_window_across_bucket_layout_change(self):
+        histogram = get_registry().histogram(
+            "gelee_api_request_seconds", "Demo.", buckets=(0.1, 1.0, 5.0))
+        engine = self._engine(
+            [SloRule("p50", "latency-quantile", threshold=2.0,
+                     quantile=0.5, min_samples=1)])
+        history = MetricHistory(get_registry(), clock=SimulatedClock(),
+                                quantiles=(0.5,))
+        for _ in range(30):
+            histogram.observe(0.05)
+        assert engine.evaluate()["transitions"] == []
+        history.capture()
+        # The count grows (40 > 30) but the bounds changed: only the layout
+        # says "reset", and the window is the whole new histogram.
+        histogram = self._swap_registry(engine, history).histogram(
+            "gelee_api_request_seconds", "Demo.", buckets=(0.5, 10.0))
+        for _ in range(40):
+            histogram.observe(3.0)
+        result = engine.evaluate()
+        assert [t["kind"] for t in result["transitions"]] == ["alert.fired"]
+        assert result["firing"][0]["value"] == 10.0
+        history.capture()
+        points = history.query(
+            series="gelee_api_request_seconds:p50")["series"][0]["points"]
+        assert [value for _, value in points] == [0.1, 10.0]
+
+    def test_heartbeat_miss_holds_on_first_sighting(self):
+        histogram = get_registry().histogram(
+            "gelee_election_heartbeat_seconds", "Demo.", buckets=(0.1, 1.0))
+        engine = self._engine([SloRule("hb", "heartbeat-miss", threshold=0)])
+        for _ in range(5):
+            histogram.observe(0.01)
+        result = engine.evaluate()
+        assert result["transitions"] == [] and result["firing"] == []
+        (alert,) = engine.status()["alerts"]
+        assert alert["state"] == "ok" and alert["value"] is None
+
+    def test_heartbeat_miss_holds_when_the_count_goes_backwards(self):
+        histogram = get_registry().histogram(
+            "gelee_election_heartbeat_seconds", "Demo.", buckets=(0.1, 1.0))
+        engine = self._engine([SloRule("hb", "heartbeat-miss", threshold=0)])
+        for _ in range(5):
+            histogram.observe(0.01)
+        engine.evaluate()  # baseline sighting
+        assert engine.evaluate()["firing"], "no renewals since last eval"
+        histogram = self._swap_registry(engine).histogram(
+            "gelee_election_heartbeat_seconds", "Demo.", buckets=(0.1, 1.0))
+        histogram.observe(0.01)  # 1 < 5: the count went backwards
+        result = engine.evaluate()
+        assert result["transitions"] == []  # hold: neither resolve nor flap
+        assert engine.firing()
+        histogram.observe(0.01)  # the lower count is the new baseline
+        result = engine.evaluate()
+        assert [t["kind"] for t in result["transitions"]] == ["alert.resolved"]
+
+    def test_held_error_rate_window_keeps_its_samples(self):
+        # The stock rule needs 20 samples; 8 per evaluation must add up to
+        # a full window on the third evaluation instead of being dropped.
+        counter = get_registry().counter(
+            "gelee_api_requests_total", "Demo.", labelnames=("route", "status"))
+        (rule,) = [rule for rule in default_slo_rules()
+                   if rule.name == "api-error-rate"]
+        engine = self._engine([rule])
+        fired_on = []
+        for evaluation in range(10):
+            counter.inc(8, route="GET /x", status="500")
+            if engine.evaluate()["transitions"]:
+                fired_on.append(evaluation)
+        assert fired_on == [2]
+        (alert,) = engine.status()["alerts"]
+        assert alert["state"] == "firing"
+        assert alert["value"] == 1.0
+
+    def test_held_latency_window_keeps_its_samples(self):
+        histogram = get_registry().histogram(
+            "gelee_api_request_seconds", "Demo.", labelnames=("route",))
+        (rule,) = [rule for rule in default_slo_rules()
+                   if rule.name == "api-latency-p99"]
+        engine = self._engine([rule])
+        fired_on = []
+        for evaluation in range(10):
+            for _ in range(5):
+                histogram.observe(4.0, route="GET /x")
+            if engine.evaluate()["transitions"]:
+                fired_on.append(evaluation)
+        assert fired_on == [3]  # 4 x 5 samples reach min_samples=20
+        assert engine.firing()[0]["value"] == 5.0
+
 
 # ============================================================== alert surface
 class TestAlertSurface:
@@ -1132,6 +1254,30 @@ class TestMetricHistory:
         points = history.query(
             series="latency_seconds:p50")["series"][0]["points"]
         assert [value for _, value in points] == [0.1, 10.0]
+
+    def test_bucket_layout_change_restarts_the_interval(self, fresh_registry):
+        histogram = fresh_registry.histogram(
+            "latency_seconds", "latency", buckets=(0.1, 1.0, 10.0))
+        history, clock = self.make()
+        for _ in range(30):
+            histogram.observe(0.05)
+        history.capture()
+        # Re-registered with other bounds and a higher count: a reset all
+        # the same, so the whole new histogram is this interval.
+        set_registry(MetricsRegistry())
+        history._registry = get_registry()
+        histogram = get_registry().histogram(
+            "latency_seconds", "latency", buckets=(0.5, 5.0))
+        for _ in range(40):
+            histogram.observe(2.0)
+        clock.advance(seconds=10)
+        history.capture()
+        rows = {row["name"]: row["points"]
+                for row in history.query(series="latency_seconds")["series"]}
+        assert [value for _, value in rows["latency_seconds:rate"]] == \
+            [30.0, 40.0]
+        assert [value for _, value in rows["latency_seconds:mean"]] == \
+            [pytest.approx(0.05), pytest.approx(2.0)]
 
     def test_downsample_tier_promotion(self, fresh_registry):
         gauge = fresh_registry.gauge("depth", "queue depth")
@@ -1525,6 +1671,151 @@ class TestClusterView:
             assert data["node_count"] == 1 and not data["partial"]
         finally:
             service.close()
+
+
+# ======================================================== node status document
+NODE_SHAPES = ("plain", "durable-primary", "read-replica", "coordinated")
+
+
+@pytest.fixture(params=NODE_SHAPES)
+def node_shape(request, root):
+    """One node of each shape, as ``(shape, router)``."""
+    from repro.coordination import CoordinationConfig
+
+    shape = request.param
+    closers = []
+    if shape == "plain":
+        router = RestRouter(shard_count=2)
+    elif shape == "coordinated":
+        service = GeleeService(
+            shard_count=2, clock=SimulatedClock(),
+            persistence=PersistenceConfig(os.path.join(root, "coord-primary"),
+                                          fsync="never"),
+            coordination=CoordinationConfig(
+                node_id="node-a", directory=os.path.join(root, "coord")))
+        closers.append(service.close)
+        router = RestRouter(service=service)
+    else:
+        config = PersistenceConfig(os.path.join(root, "primary"), fsync="never")
+        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+                               persistence=config)
+        closers.append(service.close)
+        ReplicationPrimary(service)
+        router = RestRouter(service=service)
+        router.post("/v2/models", body={"model": simple_model().to_dict()},
+                    actor="alice")
+        if shape == "read-replica":
+            replica = ReadReplica(JournalShippingSource(config),
+                                  shard_count=2, clock=SimulatedClock())
+            replica.sync()
+            router = replica.router()
+    yield shape, router
+    for close in closers:
+        close()
+
+
+class TestNodeStatusDocument:
+    """Every status route keeps at least the keys it served before the
+    node-status document existed, and they agree on who the node is."""
+
+    def _routes(self, router):
+        def data(path):
+            response = router.get(path)
+            assert response.status == 200, path
+            return response.body["data"]
+
+        return (data("/v2/runtime/cluster/self"),
+                data("/v2/monitoring/summary"),
+                data("/v2/runtime/telemetry")["node"],
+                data("/v2/runtime/stats"))
+
+    @staticmethod
+    def _has(block, keys):
+        missing = set(keys) - set(block)
+        assert not missing, "missing keys {}".format(sorted(missing))
+
+    def test_routes_keep_their_keys(self, node_shape):
+        shape, router = node_shape
+        durable = shape in ("durable-primary", "coordinated")
+        node, summary, telemetry_node, stats = self._routes(router)
+
+        self._has(node, ("alerts", "captured_at", "deltas", "history",
+                         "instances", "node_id", "pending_timers",
+                         "primary_hint", "read_only", "role"))
+        self._has(node["alerts"], ("firing", "names"))
+        self._has(node["history"], ("captures", "series", "last_capture_at"))
+        if durable:
+            self._has(node, ("journal_seq",))
+        if shape == "durable-primary":
+            self._has(node["replication"],
+                      ("role", "journal_seq", "max_follower_lag"))
+            self._has(summary["replication"],
+                      ("role", "journal_seq", "followers", "max_follower_lag"))
+        elif shape == "read-replica":
+            self._has(node["replication"],
+                      ("role", "applied_seq", "lag_records"))
+            self._has(summary["replication"],
+                      ("role", "applied_seq", "head_seq", "lag_records",
+                       "lag_seconds", "promoted"))
+        else:
+            assert "replication" not in node and "replication" not in summary
+        if shape == "coordinated":
+            self._has(node["coordination"], ("role", "leader_id", "is_leader"))
+            self._has(summary["coordination"],
+                      ("role", "is_leader", "leader_id", "node_id", "token",
+                       "latest_token", "ttl_seconds", "lease_expires_in",
+                       "elections", "depositions", "demotions",
+                       "fenced_appends"))
+        else:
+            assert "coordination" not in node
+            assert "coordination" not in summary
+
+        self._has(summary, ("total", "active", "completed", "not_started",
+                            "late", "by_phase", "by_owner", "telemetry",
+                            "alerts", "observability"))
+        self._has(summary["telemetry"],
+                  ("enabled", "api_requests", "actions_completed",
+                   "timers_fired", "fencing_rejections",
+                   "election_transitions", "in_flight"))
+        if durable:
+            self._has(summary["telemetry"], ("journal_last_seq",))
+        if shape == "read-replica":
+            self._has(summary["telemetry"], ("replication_lag_records",))
+        self._has(summary["alerts"], ("rules", "firing", "firing_rules",
+                                      "evaluations", "last_evaluated_at"))
+        observability = summary["observability"]
+        self._has(observability["history"],
+                  ("enabled", "captures", "series", "last_capture_at"))
+        self._has(observability["logs"],
+                  ("enabled", "size", "capacity", "dropped"))
+        self._has(observability["profiler"], ("running", "samples"))
+
+        self._has(telemetry_node, ("node_id", "read_only", "replication_role"))
+        self._has(stats, ("instances", "events_published", "by_status",
+                          "shard_count", "shard_sizes", "persistence_enabled",
+                          "scheduler_enabled", "pending_timers", "read_only",
+                          "dispatch", "in_flight_actions", "dispatch_mode",
+                          "replication_role", "coordination_enabled", "api",
+                          "operations"))
+        if shape == "coordinated":
+            self._has(stats, ("coordination_role", "leader_id"))
+
+    def test_routes_agree_on_identity(self, node_shape):
+        shape, router = node_shape
+        node, summary, telemetry_node, stats = self._routes(router)
+        expected_role = "replica" if shape == "read-replica" else "primary"
+        assert node["role"] == expected_role
+        assert node["read_only"] is (shape == "read-replica")
+        assert telemetry_node["node_id"] == node["node_id"]
+        if shape == "coordinated":
+            assert node["node_id"] == "node-a"
+        for document in (telemetry_node, stats):
+            assert document["replication_role"] == node["role"]
+            assert document["read_only"] is node["read_only"]
+            if "node_id" in document:
+                assert document["node_id"] == node["node_id"]
+        if "replication" in summary:
+            assert summary["replication"]["role"] == node["role"]
 
 
 # ======================================================= observability routes
