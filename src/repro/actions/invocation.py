@@ -207,13 +207,15 @@ class PendingInvocation:
 
     Returned by :meth:`InvocationDispatcher.submit`; ``wait`` blocks until
     the completion callback has run (with the inline executor that has
-    already happened by the time the handle is returned).
+    already happened by the time the handle is returned, so only a
+    ``threaded`` handle allocates the Event that ``wait`` blocks on).
     """
 
-    __slots__ = ("invocation", "latency", "span_context", "_done")
+    __slots__ = ("invocation", "latency", "span_context", "_finished", "_done")
 
     def __init__(self, invocation: ActionInvocation, latency: float = 0.0,
-                 span_context: Optional[SpanContext] = None):
+                 span_context: Optional[SpanContext] = None,
+                 threaded: bool = True):
         self.invocation = invocation
         #: The latency sampled at submit time (seconds).  Sampling happens
         #: under the submitter's lock so the latency *sequence* stays
@@ -227,7 +229,8 @@ class PendingInvocation:
         #: ``origin_request_id`` as the submit-side events, and the
         #: wait/execute spans parent under the submit-side shard drain.
         self.span_context = span_context
-        self._done = threading.Event()
+        self._finished = False
+        self._done = threading.Event() if threaded else None
 
     @property
     def trace_id(self) -> Optional[str]:
@@ -236,11 +239,18 @@ class PendingInvocation:
 
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._finished
 
     def wait(self, timeout: float = None) -> bool:
         """Block until the outcome was applied; True unless timed out."""
+        if self._finished or self._done is None:
+            return self._finished
         return self._done.wait(timeout)
+
+    def _finish(self) -> None:
+        self._finished = True
+        if self._done is not None:
+            self._done.set()
 
 
 class InvocationDispatcher:
@@ -305,8 +315,11 @@ class InvocationDispatcher:
         """
         invocation.status = ActionStatus.RUNNING
         invocation.submitted_at = self._clock.now()
-        pending = PendingInvocation(invocation, latency=self._sample_latency(),
-                                    span_context=current_span_context())
+        pending = PendingInvocation(
+            invocation, latency=self._sample_latency(),
+            span_context=current_span_context(),
+            threaded=not isinstance(self._completion_executor,
+                                    InlineCompletionExecutor))
         deliver = on_complete if on_complete is not None else self._complete_pending
 
         def task() -> None:
@@ -334,7 +347,7 @@ class InvocationDispatcher:
                     try:
                         deliver(pending, result, error)
                     finally:
-                        pending._done.set()
+                        pending._finish()
 
         self._completion_executor.submit(task)
         return pending

@@ -80,10 +80,15 @@ class EventBus:
     before dispatch, so concurrent publishers (one per shard of the sharded
     runtime) never observe a half-updated table.  Handlers themselves run
     outside the lock and must be thread-safe if the bus is shared by threads.
+
+    Subscriber kind-matching is resolved once per distinct event kind and
+    cached until the next subscribe or unsubscribe, so a publish is one
+    dictionary lookup instead of a test against every registered pattern.
     """
 
     def __init__(self, strict: bool = False):
         self._handlers: Dict[str, List[Callable[[Event], None]]] = {}
+        self._match_cache: Dict[str, List[Callable[[Event], None]]] = {}
         self._strict = strict
         self._published = 0
         self._lock = threading.RLock()
@@ -97,12 +102,14 @@ class EventBus:
         """Register ``handler`` for ``kind`` and return an unsubscribe callable."""
         with self._lock:
             self._handlers.setdefault(kind, []).append(handler)
+            self._match_cache.clear()
 
         def unsubscribe():
             with self._lock:
                 handlers = self._handlers.get(kind, [])
                 if handler in handlers:
                     handlers.remove(handler)
+                self._match_cache.clear()
 
         return unsubscribe
 
@@ -115,11 +122,18 @@ class EventBus:
 
     # ------------------------------------------------------------------ internal
     def _matching_handlers(self, kind: str) -> List[Callable[[Event], None]]:
-        """Snapshot of the handlers interested in ``kind`` (caller holds the lock)."""
-        matched: List[Callable[[Event], None]] = []
-        for registered_kind, handlers in self._handlers.items():
-            if self._matches(registered_kind, kind):
-                matched.extend(handlers)
+        """The handlers interested in ``kind`` (caller holds the lock).
+
+        The list is shared with later publishes of the same kind and must
+        not be mutated; a (un)subscribe drops the cache instead.
+        """
+        matched = self._match_cache.get(kind)
+        if matched is None:
+            matched = []
+            for registered_kind, handlers in self._handlers.items():
+                if self._matches(registered_kind, kind):
+                    matched.extend(handlers)
+            self._match_cache[kind] = matched
         return matched
 
     def _deliver(self, event: Event, handlers: List[Callable[[Event], None]]) -> None:
@@ -156,11 +170,6 @@ class BatchingEventBus(EventBus):
     tests and benchmarks.  Call :meth:`flush` (or use the bus as a context
     manager) before reading subscriber state that must include the tail of
     the stream.
-
-    Subscriber kind-matching is resolved once per distinct event kind and
-    cached, which makes the flush loop a straight walk over pre-matched
-    handler lists — measurably cheaper than per-event pattern matching when
-    the runtime emits millions of progression events.
     """
 
     def __init__(self, strict: bool = False, clock: Clock = None,
@@ -173,7 +182,6 @@ class BatchingEventBus(EventBus):
         self._max_delay = timedelta(seconds=max_delay_seconds)
         self._buffer: List[Event] = []
         self._oldest_at: Optional[datetime] = None
-        self._match_cache: Dict[str, List[Callable[[Event], None]]] = {}
         self._flushed_batches = 0
         # Serialises take+deliver so concurrent publishers cannot interleave
         # batches and break the publish-order guarantee.  Reentrant: a
@@ -192,18 +200,6 @@ class BatchingEventBus(EventBus):
         return self._flushed_batches
 
     # ---------------------------------------------------------------- lifecycle
-    def subscribe(self, kind: str, handler: Callable[[Event], None]) -> Callable[[], None]:
-        unsubscribe = super().subscribe(kind, handler)
-        with self._lock:
-            self._match_cache.clear()
-
-        def unsubscribe_and_invalidate():
-            unsubscribe()
-            with self._lock:
-                self._match_cache.clear()
-
-        return unsubscribe_and_invalidate
-
     def publish(self, event: Event) -> None:
         """Buffer ``event``; flush if the size or time threshold is crossed."""
         with self._lock:
@@ -258,10 +254,7 @@ class BatchingEventBus(EventBus):
     def _deliver_batch(self, batch: List[Event]) -> None:
         for event in batch:
             with self._lock:
-                handlers = self._match_cache.get(event.kind)
-                if handlers is None:
-                    handlers = self._matching_handlers(event.kind)
-                    self._match_cache[event.kind] = handlers
+                handlers = self._matching_handlers(event.kind)
             self._deliver(event, handlers)
 
 

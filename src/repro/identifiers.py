@@ -8,8 +8,9 @@ identifiers so the rest of the kernel can treat them as opaque strings.
 
 from __future__ import annotations
 
+import os
 import re
-import uuid
+from functools import lru_cache
 from urllib.parse import urlparse, urlunparse
 
 from .errors import ValidationError
@@ -21,9 +22,11 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_.:\-/]+$")
 def new_id(prefix: str = "id") -> str:
     """Return a globally unique identifier with a readable prefix.
 
-    Example: ``new_id("inst")`` -> ``"inst-6f1a2c3d4e5f"``.
+    Example: ``new_id("inst")`` -> ``"inst-6f1a2c3d4e5f"``.  The 12 hex
+    digits are 48 random bits, as many as the leading 12 digits of a
+    ``uuid4`` carry, read straight from ``os.urandom``.
     """
-    return "{}-{}".format(prefix, uuid.uuid4().hex[:12])
+    return prefix + "-" + os.urandom(6).hex()
 
 
 def slugify(text: str) -> str:
@@ -59,7 +62,13 @@ def normalize_uri(uri: str) -> str:
     """
     if not uri or not uri.strip():
         raise ValidationError(["resource URI must be a non-empty string"])
-    uri = uri.strip()
+    return _normalize_stripped(uri.strip())
+
+
+@lru_cache(maxsize=4096)
+def _normalize_stripped(uri: str) -> str:
+    """The pure part of :func:`normalize_uri`, memoised: every action call
+    normalises its instance's artifact URI again."""
     parsed = urlparse(uri)
     if not parsed.scheme:
         # Allow opaque identifiers such as "urn:deliverable:d1.1" or plain ids.

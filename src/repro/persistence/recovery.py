@@ -150,7 +150,7 @@ class JournalReplayer:
         """Reduce one journal record into the runtime; ``True`` if it
         mutated instance/timer state (vs. being informational)."""
         self._log.record(record.kind, record.event_timestamp, record.subject_id,
-                         record.actor, dict(record.payload))
+                         record.actor, record.payload)
         self.report.records_replayed += 1
         self.applied_seq = max(self.applied_seq, record.seq)
         if record.kind in TIMER_KINDS:

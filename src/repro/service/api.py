@@ -84,10 +84,10 @@ def _telemetry_headline(registry) -> Dict[str, Any]:
             headline[key] = rows[0]["value"]
     for key, name in (("dispatch_wait_mean_seconds", "gelee_dispatch_wait_seconds"),
                       ("lock_wait_mean_seconds", "gelee_lock_wait_seconds")):
-        rows = series(name)
-        if rows is not None:
-            count = sum(row["count"] for row in rows)
-            headline[key] = sum(row["sum"] for row in rows) / count if count else 0.0
+        instrument = registry.get(name)
+        if instrument is not None:
+            total, count = instrument.totals()
+            headline[key] = total / count if count else 0.0
     return headline
 
 
@@ -761,7 +761,7 @@ class GeleeService:
             "logs": _pick(get_log_ring().stats(),
                           ("enabled", "size", "capacity", "dropped")),
             "profiler": {"running": self.profiler.running,
-                         "samples": self.profiler.status()["samples"]},
+                         "samples": self.profiler.samples},
         }
         return status
 

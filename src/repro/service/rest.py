@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import PermissionDeniedError, ServiceError
 from .api import GeleeService
@@ -47,6 +47,12 @@ from .v2 import install as install_v2
 from .v2.envelope import Envelope, ErrorInfo
 from .v2.middleware import ApiStats
 
+#: A ``{name}`` segment of a route pattern (a ``[^/]+`` capture).
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+#: Regex syntax that could let a pattern's literal text match across a
+#: ``/``; a table holding such a pattern is scanned, not indexed.
+_REGEX_SYNTAX = re.compile(r"[.^$*+?()\[\]\\|{}]")
+
 #: Headers advertising the v1 deprecation path on every legacy response.
 V1_HEADERS = {
     "X-Gelee-Api-Version": "v1",
@@ -65,10 +71,10 @@ class Route:
     handler: Handler
     status: int = 200
     headers: Dict[str, str] = field(default_factory=dict)
+    name: str = field(init=False)
 
-    @property
-    def name(self) -> str:
-        return "{} {}".format(self.method, self.pattern)
+    def __post_init__(self) -> None:
+        self.name = "{} {}".format(self.method, self.pattern)
 
 
 class RestRouter:
@@ -98,6 +104,8 @@ class RestRouter:
         self.service = service
         self.stats = ApiStats()
         self._routes: List[Route] = []
+        #: ``(routes indexed, nodes, groups)``; see :meth:`_candidates`.
+        self._index: tuple = (-1, None, None)
         self._register_routes()
         install_v2(self)
         self._pipeline = build_pipeline(
@@ -123,7 +131,7 @@ class RestRouter:
         are merged into every response of the route.
         """
         regex = re.compile(
-            "^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", pattern.rstrip("/")) + "$"
+            "^" + _PLACEHOLDER.sub(r"(?P<\1>[^/]+)", pattern.rstrip("/")) + "$"
         )
         self._routes.append(Route(method=method.upper(), pattern=pattern, regex=regex,
                                   handler=handler, status=status,
@@ -148,7 +156,7 @@ class RestRouter:
         path = request.path.rstrip("/") or "/"
         method = request.method.upper()
         allowed: set = set()
-        for route in self._routes:
+        for route in self._candidates(path):
             match = route.regex.match(path)
             if match is None:
                 continue
@@ -173,6 +181,63 @@ class RestRouter:
         return self._no_route_response(
             request, 404, "ROUTE_NOT_FOUND",
             "no route for {} {}".format(request.method, request.path))
+
+    def _candidates(self, path: str) -> List[Route]:
+        """The routes whose regex can match ``path``, in registration order.
+
+        A ``{name}`` capture never spans a ``/``, so a route only matches
+        paths with its segment count that start with its leading literal
+        segments (its key).  The longest indexed key prefix a path walks
+        down to selects every route whose key is a prefix of it: all the
+        routes a linear scan could match, in order, so the first match and
+        the 405 ``Allow`` set are unchanged.  A grown table (``add_route``
+        after construction) is re-indexed.
+        """
+        built_for, nodes, groups = self._index
+        if built_for != len(self._routes):
+            routes = list(self._routes)
+            nodes, groups = self._build_index(routes)
+            self._index = (len(routes), nodes, groups)
+        if nodes is None:
+            return self._routes
+        # ``$`` also matches before one trailing newline; drop it here too.
+        segments = (path[:-1] if path.endswith("\n") else path).split("/")
+        count = len(segments)
+        if (count, "") not in nodes:
+            return []
+        key = node = ""
+        for segment in segments:
+            key += segment + "/"
+            if (count, key) not in nodes:
+                break
+            node = key
+        candidates = nodes[(count, node)]
+        if candidates is None:
+            candidates = nodes[(count, node)] = [
+                route for own, route in groups[count] if node.startswith(own)]
+        return candidates
+
+    @staticmethod
+    def _build_index(routes: List[Route]):
+        """Every key prefix per segment count (its route list is filled on
+        first use) and each count's ``(key, route)`` list; ``None`` (scan
+        every route) when a pattern's literal text holds regex syntax."""
+        nodes: Dict[Tuple[int, str], Optional[List[Route]]] = {}
+        groups: Dict[int, List[Tuple[str, Route]]] = {}
+        for route in routes:
+            pattern = route.pattern.rstrip("/")
+            if _REGEX_SYNTAX.search(_PLACEHOLDER.sub("", pattern)):
+                return None, None
+            count = pattern.count("/") + 1
+            key = ""
+            nodes[(count, key)] = None
+            for segment in pattern.split("/"):
+                if "{" in segment:
+                    break
+                key += segment + "/"
+                nodes[(count, key)] = None
+            groups.setdefault(count, []).append((key, route))
+        return nodes, groups
 
     @staticmethod
     def _no_route_response(request: Request, status: int, code: str,

@@ -91,8 +91,9 @@ class ExecutionLog:
 
     # ------------------------------------------------------------------- record
     def record_event(self, event: Event) -> LogEntry:
+        # ``record`` copies the payload: the log owns its dict.
         return self.record(event.kind, event.timestamp, event.subject_id, event.actor,
-                           dict(event.payload))
+                           event.payload)
 
     def record(self, kind: str, timestamp: datetime, subject_id: str,
                actor: Optional[str] = None, payload: Dict[str, Any] = None) -> LogEntry:

@@ -49,6 +49,23 @@ def _series_key(name: str, labels: Dict[str, Any]) -> str:
     return "{}{{{}}}".format(name, rendered)
 
 
+def _split_prefixes(series: str) -> Tuple[str, ...]:
+    """Split a comma-separated prefix list, keeping the commas that separate
+    the labels of a full series key (those inside ``{…}``, which may nest:
+    route labels carry ``{name}`` placeholders)."""
+    parts, depth, start = [], 0, 0
+    for position, char in enumerate(series):
+        if char == "{":
+            depth += 1
+        elif char == "}":
+            depth = max(0, depth - 1)
+        elif char == "," and depth == 0:
+            parts.append(series[start:position])
+            start = position + 1
+    parts.append(series[start:])
+    return tuple(part.strip() for part in parts if part.strip())
+
+
 class _Ring:
     """A preallocated ring of points; append and chronological read-out."""
 
@@ -212,17 +229,15 @@ class MetricHistory:
         """Matching series with their points, oldest first.
 
         ``series`` is a comma-separated list of name prefixes (a bare
-        metric name matches every label set and derived suffix);
+        metric name matches every label set and derived suffix; a full
+        series key keeps the commas between its labels);
         ``window_seconds`` keeps points no older than now-window;
         ``step_seconds`` decimates to at most one point per step;
         ``tier`` selects ``"raw"`` or ``"downsampled"``.
         """
         if tier not in ("raw", "downsampled"):
             raise ValueError("tier must be 'raw' or 'downsampled'")
-        prefixes = None
-        if series:
-            prefixes = tuple(part.strip() for part in series.split(",")
-                             if part.strip())
+        prefixes = _split_prefixes(series) if series else None
         now = self._clock.now().timestamp()
         cutoff = None if window_seconds is None else now - float(window_seconds)
         with self._lock:

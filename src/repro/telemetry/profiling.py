@@ -149,6 +149,11 @@ class SamplingProfiler:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
+    @property
+    def samples(self) -> int:
+        """Samples taken so far, read without building the flame tree."""
+        return self._samples
+
     def start(self, interval_seconds: Optional[float] = None) -> bool:
         """Begin sampling; returns False when already running."""
         if self.running:

@@ -287,6 +287,15 @@ class Histogram(_Instrument):
             return {"count": cell.count, "sum": cell.total,
                     "buckets": list(cell.bucket_counts)}
 
+    def totals(self) -> Tuple[float, int]:
+        """``(sum, count)`` over every label set, summed in the order of
+        :meth:`snapshot`'s series, without formatting any bucket."""
+        with self._lock:
+            cells = sorted((key, cell.total, cell.count)
+                           for key, cell in self._cells.items())
+        return (sum(total for _, total, _ in cells),
+                sum(count for _, _, count in cells))
+
     def expose(self) -> List[str]:
         with self._lock:
             cells = sorted((key, cell.count, cell.total, list(cell.bucket_counts))

@@ -20,15 +20,16 @@ a plain slotted context manager, cheap enough for the dispatch hot path.
 from __future__ import annotations
 
 import threading
-import uuid
 from typing import Any, Optional
+
+from ..identifiers import new_id
 
 _state = threading.local()
 
 
 def new_trace_id(prefix: str = "trc") -> str:
     """A fresh correlation id (``prefix-<12 hex chars>``)."""
-    return "{}-{}".format(prefix, uuid.uuid4().hex[:12])
+    return new_id(prefix)
 
 
 def current_trace_id() -> Optional[str]:

@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 import pytest
 
 from repro.clock import SimulatedClock, SystemClock
-from repro.events import Event, EventBus, EventRecorder
+from repro.events import BatchingEventBus, Event, EventBus, EventRecorder
 
 
 class TestSystemClock:
@@ -120,6 +120,62 @@ class TestEventBus:
         bus.publish(_event("x"))
         bus.publish(_event("y"))
         assert bus.published_count == 2
+
+
+@pytest.mark.parametrize("make_bus", [EventBus, BatchingEventBus],
+                         ids=["sync", "batching"])
+class TestSubscriberCache:
+    """Matching is cached per kind; (un)subscribing after events flowed
+    must still change who sees the next event, in registration order."""
+
+    @staticmethod
+    def publish(bus, kind):
+        bus.publish(_event(kind))
+        if isinstance(bus, BatchingEventBus):
+            bus.flush()
+
+    def test_late_subscriber_sees_the_next_event(self, make_bus):
+        bus = make_bus()
+        seen = []
+        bus.subscribe("*", lambda event: seen.append(("all", event.kind)))
+        self.publish(bus, "instance.created")
+        bus.subscribe("instance.", lambda event: seen.append(("prefix", event.kind)))
+        bus.subscribe("instance.created", lambda event: seen.append(("exact", event.kind)))
+        self.publish(bus, "instance.created")
+        self.publish(bus, "action.completed")
+        assert seen == [("all", "instance.created"),
+                        ("all", "instance.created"),
+                        ("prefix", "instance.created"),
+                        ("exact", "instance.created"),
+                        ("all", "action.completed")]
+
+    def test_unsubscribed_handler_misses_the_next_event(self, make_bus):
+        bus = make_bus()
+        seen = []
+        unsubscribe = bus.subscribe("instance.", seen.append)
+        keep = []
+        bus.subscribe("instance.created", keep.append)
+        self.publish(bus, "instance.created")
+        unsubscribe()
+        self.publish(bus, "instance.created")
+        assert len(seen) == 1
+        assert len(keep) == 2
+
+    def test_handler_subscribing_during_delivery_starts_with_the_next_event(
+            self, make_bus):
+        bus = make_bus()
+        late = []
+
+        def subscribe_late(event):
+            if not late:
+                late.append("subscribed")
+                bus.subscribe("x", late.append)
+
+        bus.subscribe("x", subscribe_late)
+        self.publish(bus, "x")
+        assert late == ["subscribed"]
+        self.publish(bus, "x")
+        assert len(late) == 2 and late[1].kind == "x"
 
 
 class TestEventRecorder:

@@ -25,6 +25,7 @@ from repro.actions import (
     PooledCompletionExecutor,
 )
 from repro.actions import library
+from repro.actions.invocation import ActionInvocation, InvocationDispatcher
 from repro.clock import SimulatedClock
 from repro.events import EventBus, EventRecorder
 from repro.model import LifecycleBuilder
@@ -385,6 +386,51 @@ class TestServiceDispatch:
         try:
             assert PooledCompletionExecutor(pool).mode == "pooled"
         finally:
+            pool.close()
+
+
+# ======================================================= pending handles
+def _pending_invocation():
+    return ActionInvocation(action_uri="urn:act", action_name="act", call_id="c1",
+                            resource_uri="https://doc/1", resource_type="Google Doc")
+
+
+class TestPendingInvocation:
+    def test_inline_handle_is_done_when_submit_returns(self):
+        dispatcher = InvocationDispatcher(clock=SimulatedClock())
+        pending = dispatcher.submit(_pending_invocation(), lambda inv: {"ok": True})
+        assert pending.done
+        assert pending.wait() is True
+        assert pending.wait(timeout=0) is True
+        assert pending.invocation.status is ActionStatus.COMPLETED
+
+    def test_pooled_handle_blocks_until_the_task_completes(self):
+        release = threading.Event()
+        pool = WorkerPool(1, name="pending-test")
+        try:
+            dispatcher = InvocationDispatcher(
+                clock=SimulatedClock(),
+                completion_executor=PooledCompletionExecutor(pool))
+
+            def slow(invocation):
+                release.wait(5)
+                return {"ok": True}
+
+            pending = dispatcher.submit(_pending_invocation(), slow)
+            assert not pending.done
+            assert pending.wait(timeout=0.05) is False
+            waited = []
+            waiter = threading.Thread(target=lambda: waited.append(pending.wait(5)))
+            waiter.start()
+            time.sleep(0.02)
+            assert waited == []
+            release.set()
+            waiter.join(5)
+            assert waited == [True]
+            assert pending.done
+            assert pending.invocation.status is ActionStatus.COMPLETED
+        finally:
+            release.set()
             pool.close()
 
 

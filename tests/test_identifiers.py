@@ -1,5 +1,8 @@
 """Unit tests for URI/identifier helpers."""
 
+import re
+import threading
+
 import pytest
 
 from repro.errors import ValidationError
@@ -24,6 +27,25 @@ class TestNewId:
 
     def test_default_prefix(self):
         assert new_id().startswith("id-")
+
+    def test_format_is_prefix_and_twelve_lowercase_hex_digits(self):
+        for prefix in ("inst", "req", "trc", "id"):
+            assert re.match(r"^{}-[0-9a-f]{{12}}$".format(prefix), new_id(prefix))
+
+    def test_unique_across_threads(self):
+        batches = [[] for _ in range(4)]
+
+        def draw(batch):
+            batch.extend(new_id("inst") for _ in range(2000))
+
+        threads = [threading.Thread(target=draw, args=(batch,)) for batch in batches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        ids = [value for batch in batches for value in batch]
+        assert len(set(ids)) == len(ids) == 8000
 
 
 class TestSlugify:
@@ -82,8 +104,14 @@ class TestNormalizeUri:
         assert normalize_uri("http://w.org/page#section").endswith("#section")
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            normalize_uri("   ")
+        # Repeated: the memoised part sits behind the check, so every call raises.
+        for uri in ("   ", "", "  ", ""):
+            with pytest.raises(ValidationError):
+                normalize_uri(uri)
+
+    def test_repeated_calls_agree(self):
+        uri = " HTTP://Docs.Example.org:80/d/1/ "
+        assert normalize_uri(uri) == normalize_uri(uri) == "http://docs.example.org/d/1"
 
     def test_uri_host(self):
         assert uri_host("https://Docs.Google.com/d/1") == "docs.google.com"

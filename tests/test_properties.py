@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import functools
 import json
 import os
+import re
 import string
 import tempfile
 from itertools import islice
@@ -30,6 +32,8 @@ from repro.serialization import (
     lifecycle_to_json,
     lifecycle_to_xml,
 )
+from repro.service import RestRouter
+from repro.service.transport import Request
 from repro.storage import ExecutionLog, InMemoryRepository
 from repro.templates.eu_deliverable import eu_deliverable_lifecycle
 
@@ -477,3 +481,103 @@ class TestPortfolioRollupProperties:
                     run.check()
             finally:
                 run.coordinator.close()
+
+
+# -------------------------------------------------------------- route index
+
+def _scan(routes, method, path):
+    """The reference resolution: try every route in registration order."""
+    allowed = set()
+    for route in routes:
+        match = route.regex.match(path)
+        if match is None:
+            continue
+        if route.method != method:
+            allowed.add(route.method)
+            continue
+        return ("route", route.name, match.groupdict())
+    return ("405", ", ".join(sorted(allowed))) if allowed else ("404",)
+
+
+def _stubbed_router(extra_routes=()):
+    """The full v1 + v2 table with side-effect-free handlers, after one
+    dispatch has built the index, then ``extra_routes`` added on top (the
+    index must notice them).  SOAP dispatches by operation name through
+    :class:`~repro.service.soap.SoapEndpoint` and has no entries here."""
+    router = RestRouter()
+    router.get("/v2/models")
+    for method, pattern in extra_routes:
+        router.add_route(method, pattern, None)
+    for route in router._routes:
+        route.handler = lambda request, params, name=route.name: {
+            "route": name, "params": params}
+    return router
+
+
+@functools.lru_cache(maxsize=None)
+def _router(shape):
+    """One router per table shape, shared by every generated example."""
+    return _stubbed_router({
+        "table": (),
+        # Overlaps existing keys and adds a wildcard first segment.
+        "extended": (("GET", "/v2/instances/{instance_id}:peek"),
+                     ("PUT", "/models"),
+                     ("DELETE", "/v2/runtime/{section}"),
+                     ("GET", "/{anything}/history")),
+        # Regex syntax in a literal: the router falls back to a scan.
+        "regex": (("GET", "/v2/files/.+"),),
+    }[shape])
+
+
+_ID_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "-_.:~%{}",
+                   min_size=1, max_size=12)
+
+
+@st.composite
+def route_requests(draw):
+    """A method and a path: a registered pattern filled with generated ids,
+    optionally mangled, or a random walk over the table's literals."""
+    shape = draw(st.sampled_from(["table", "extended", "regex"]))
+    router = _router(shape)
+    patterns = [route.pattern for route in router._routes]
+    literals = sorted({segment for pattern in patterns
+                       for segment in pattern.split("/") if "{" not in segment})
+    if draw(st.booleans()):
+        pattern = draw(st.sampled_from(patterns))
+        path = re.sub(r"\{\w+\}", lambda _: draw(_ID_TEXT), pattern)
+        mangle = draw(st.sampled_from(["none", "slash", "newline", "drop",
+                                       "extend", "swap"]))
+        if mangle == "slash":
+            path += "/"
+        elif mangle == "newline":
+            path += "\n"
+        elif mangle == "drop":
+            path = path.rsplit("/", 1)[0]
+        elif mangle == "extend":
+            path += "/" + draw(st.sampled_from(literals + ["x"]))
+        elif mangle == "swap":
+            head, _, _ = path.rpartition("/")
+            path = head + "/" + draw(st.sampled_from(literals) | _ID_TEXT)
+    else:
+        segments = draw(st.lists(st.sampled_from(literals) | _ID_TEXT, max_size=5))
+        path = "/" + "/".join(segments)
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "DELETE", "get"]))
+    return shape, method, path
+
+
+class TestRouteIndexProperties:
+    @given(route_requests())
+    @settings(max_examples=300, deadline=None)
+    def test_indexed_dispatch_equals_a_linear_scan(self, case):
+        shape, method, path = case
+        router = _router(shape)
+        expected = _scan(router._routes, method.upper(), path.rstrip("/") or "/")
+        response = router.handle(Request(method, path, actor="tester"))
+        if expected[0] == "route":
+            assert response.status < 300, response.body
+            assert response.body == {"route": expected[1], "params": expected[2]}
+        elif expected[0] == "405":
+            assert response.status == 405
+            assert response.headers["Allow"] == expected[1]
+        else:
+            assert response.status == 404

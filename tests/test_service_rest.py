@@ -4,6 +4,7 @@ import pytest
 
 from repro.serialization import lifecycle_to_xml
 from repro.service import GeleeService, RestRouter
+from repro.service.transport import Request
 from repro.templates import eu_deliverable_lifecycle
 
 
@@ -213,3 +214,29 @@ class TestMonitoringEndpoints:
     def test_unroutable_path_is_404(self, router):
         assert router.get("/nope").status == 404
         assert router.post("/instances/x/unknown", actor="a").status == 404
+
+
+class TestRouteResolution:
+    def test_405_advertises_every_method_of_the_path(self, router):
+        response = router.handle(Request("DELETE", "/v2/instances"))
+        assert response.status == 405
+        assert response.headers["Allow"] == "GET, POST"
+
+    def test_first_registered_match_wins(self, router):
+        # ``{instance_id}`` also matches "x:advance", and the plain detail
+        # route is registered first: a GET resolves to it, a POST skips it.
+        get = router.handle(Request("GET", "/v2/instances/x:advance"))
+        assert get.status == 404 and get.body["error"]["code"] == "INSTANCE_NOT_FOUND"
+        post = router.handle(Request("POST", "/v2/instances/x:advance", actor="a"))
+        assert post.status == 404 and post.body["error"]["code"] == "INSTANCE_NOT_FOUND"
+
+    def test_route_added_after_requests_is_served(self, router):
+        assert router.get("/v2/gadgets/g1").body["error"]["code"] == "ROUTE_NOT_FOUND"
+        router.add_route("GET", "/v2/gadgets/{gadget_id}",
+                         lambda request, params: {"gadget": params["gadget_id"]})
+        response = router.get("/v2/gadgets/g1")
+        assert response.status == 200 and response.body == {"gadget": "g1"}
+        router.add_route("PUT", "/models", lambda request, params: {"put": True})
+        assert router.handle(Request("PUT", "/models")).body == {"put": True}
+        assert router.handle(Request("DELETE", "/models")).headers["Allow"] == \
+            "GET, POST, PUT"

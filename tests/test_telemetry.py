@@ -1194,6 +1194,22 @@ class TestMetricHistory:
         assert [value for _, value in points] == [5.0, 3.0]
         assert points[0][0] < points[1][0]
 
+    def test_query_by_a_full_key_with_two_labels(self, fresh_registry):
+        counter = fresh_registry.counter("gelee_api_requests_total", "requests",
+                                         labelnames=("route", "status"))
+        history, clock = self.make()
+        counter.inc(7, route="GET /x", status="200")
+        counter.inc(2, route="GET /x", status="500")
+        counter.inc(1, route="GET /v2/instances/{instance_id}", status="500")
+        history.capture()
+        key = 'gelee_api_requests_total{route="GET /x",status="500"}'
+        result = history.query(series=key)
+        assert [row["name"] for row in result["series"]] == [key]
+        assert [value for _, value in result["series"][0]["points"]] == [2.0]
+        nested = 'gelee_api_requests_total{route="GET /v2/instances/{instance_id}",status="500"}'
+        both = history.query(series=" {} , {}".format(key, nested))
+        assert [row["name"] for row in both["series"]] == sorted([key, nested])
+
     def test_counter_reset_midwindow_never_goes_negative(self):
         counter = _StubCounter("jobs_total", 50.0)
         history, clock = self.make(registry=_StubRegistry(counter))
@@ -1576,6 +1592,24 @@ class TestSamplingProfiler:
         status = profiler.status()
         assert status["samples"] == 0 and status["nodes"] == 1
 
+    def test_summary_reads_samples_without_building_the_flame(self, monkeypatch):
+        from repro.telemetry.profiling import _FlameNode
+
+        router = RestRouter(shard_count=2)
+        profiler = router.service.profiler
+        for _ in range(3):
+            profiler.sample_once()
+        calls = []
+        original = _FlameNode.to_dict
+        monkeypatch.setattr(_FlameNode, "to_dict",
+                            lambda node: calls.append(node) or original(node))
+        summary = router.get("/v2/monitoring/summary").body["data"]
+        node = router.get("/v2/runtime/cluster/self").body["data"]
+        assert calls == []
+        assert summary["observability"]["profiler"]["samples"] == 3
+        assert node["observability"]["profiler"]["samples"] == 3
+        assert profiler.status()["samples"] == 3 and calls
+
     def test_interval_is_clamped(self):
         profiler = SamplingProfiler(interval_seconds=0.0)
         assert profiler.interval_seconds >= 0.005
@@ -1589,6 +1623,33 @@ class TestSamplingProfiler:
         status = profiler.status()
         assert status["nodes"] <= 16
         assert status["truncated_stacks"] > 0
+
+
+class TestTelemetryHeadline:
+    def test_mean_seconds_equal_the_snapshot_means(self, fresh_registry):
+        from repro.service.api import _telemetry_headline
+
+        dispatch = fresh_registry.histogram(
+            "gelee_dispatch_wait_seconds", "wait", labelnames=("action",))
+        locks = fresh_registry.histogram(
+            "gelee_lock_wait_seconds", "lock wait", labelnames=("site",))
+        for index, value in enumerate((0.0031, 0.2, 1e-7, 0.07, 3.3, 0.01)):
+            dispatch.observe(value, action="a{}".format(index % 3))
+            locks.observe(value / 3, site="s{}".format(index % 2))
+        headline = _telemetry_headline(fresh_registry)
+        for key, histogram in (("dispatch_wait_mean_seconds", dispatch),
+                               ("lock_wait_mean_seconds", locks)):
+            rows = histogram.snapshot()["series"]
+            count = sum(row["count"] for row in rows)
+            assert headline[key] == sum(row["sum"] for row in rows) / count
+
+    def test_empty_and_missing_histograms(self, fresh_registry):
+        from repro.service.api import _telemetry_headline
+
+        assert "lock_wait_mean_seconds" not in _telemetry_headline(fresh_registry)
+        fresh_registry.histogram("gelee_lock_wait_seconds", "lock wait",
+                                 labelnames=("site",))
+        assert _telemetry_headline(fresh_registry)["lock_wait_mean_seconds"] == 0.0
 
 
 # ================================================================ cluster view
